@@ -309,8 +309,7 @@ void bench_snapshot_restore() {
   });
 }
 
-/// The whole depth-2 bounded check, delta exploration vs the
-/// restore-root-and-replay fallback — the end-to-end number behind the
+/// The whole depth-2 bounded check — the end-to-end number behind the
 /// analysis_cli speedup gate.
 void bench_model_check_depth2() {
   analysis::ModelCheckConfig mc;
@@ -318,24 +317,14 @@ void bench_model_check_depth2() {
   mc.depth = 2;
   run_bench(
       "model_check_depth2", 10,
-      [&] {
-        mc.use_replay_fallback = false;
-        do_not_optimize(analysis::run_model_check(mc));
-      },
-      /*warmup=*/1);
-  run_bench(
-      "model_check_depth2_replay", 10,
-      [&] {
-        mc.use_replay_fallback = true;
-        do_not_optimize(analysis::run_model_check(mc));
-      },
+      [&] { do_not_optimize(analysis::run_model_check(mc)); },
       /*warmup=*/1);
 }
 
-/// The depth-3 bounded check, serial vs sharded (DESIGN.md §12). One row
-/// per thread count; the speedup only materializes with real cores, but
-/// the rows also pin that sharding costs ~nothing when it cannot help
-/// (single-core hosts run the barrier-synchronized passes back to back).
+/// The depth-3 bounded check at 1, 2 and 4 workers of the one engine
+/// (DESIGN.md §16). The speedup only materializes with real cores; the
+/// rows also show what the barrier-synchronized phases cost when they
+/// cannot help.
 void bench_model_check_depth3() {
   analysis::ModelCheckConfig mc;
   mc.version = hv::kXen46;

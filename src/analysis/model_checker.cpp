@@ -7,21 +7,24 @@
 //   - operation application through the public hypercall surface
 //   - state diffing (counterexample readability)
 //   - erroneous-state classification over the shared SystemWalk
-//   - the BFS driver
+//   - the spill-record codec and spill file
+//   - the exploration engine and its entry point
 #include "analysis/model_checker.hpp"
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "analysis/visited.hpp"
@@ -303,49 +306,25 @@ long apply_op(hv::Hypervisor& vmm, const Op& op) {
 
 // --------------------------------------------------------------- state diff
 
-/// Read-only view of a machine state expressed against a shared root
-/// snapshot, sourced from either an HvDelta or a CoW forest node: resolves
-/// frame bytes and PageInfo without materializing a full snapshot, and
-/// exposes the state's dirty sets so two views over the same root can be
+/// Read-only view of a CoW forest node against the shared root snapshot:
+/// resolves frame bytes and PageInfo without materializing a full snapshot,
+/// and exposes the node's dirty sets so two views over the same root can be
 /// diffed in O(changed) instead of O(machine). Diff lines are emitted only
-/// where *contents* differ, so the two sources — whose dirty lists are both
-/// conservative supersets of the content-diverged frames — yield identical
-/// diffs for the same logical state.
+/// where *contents* differ, because a node's frame list is a conservative
+/// superset of the frames that diverged from the root.
 class StateView {
  public:
-  StateView(const hv::HvSnapshot& base, const hv::HvDelta& delta)
-      : base_{&base},
-        dirty_{&delta.mem_frames},
-        frames_{&delta.frames},
-        domains_{&delta.domains},
-        grants_{&delta.grants},
-        crashed_{delta.crashed},
-        cpu_hung_{delta.cpu_hung} {
-    ptrs_.reserve(delta.mem_frames.size());
-    for (std::size_t i = 0; i < delta.mem_frames.size(); ++i) {
-      ptrs_.push_back(delta.mem_bytes.data() + i * sim::kPageSize);
-    }
-  }
   StateView(const hv::HvSnapshot& base, const hv::HvCowState& cow)
-      : base_{&base},
-        frames_{&cow.frames},
-        domains_{&cow.domains},
-        grants_{&cow.grants},
-        crashed_{cow.crashed},
-        cpu_hung_{cow.cpu_hung} {
-    dirty_storage_.reserve(cow.mem_frames.size());
-    ptrs_.reserve(cow.mem_frames.size());
-    for (const auto& [m, block] : cow.mem_frames) {
-      dirty_storage_.push_back(m);
-      ptrs_.push_back(block->bytes.data());
-    }
-    dirty_ = &dirty_storage_;
+      : base_{&base}, cow_{&cow} {
+    dirty_.reserve(cow.mem_frames.size());
+    for (const auto& [m, block] : cow.mem_frames) dirty_.push_back(m);
   }
 
   [[nodiscard]] const std::uint8_t* frame(std::uint64_t m) const {
-    const auto it = std::lower_bound(dirty_->begin(), dirty_->end(), m);
-    if (it != dirty_->end() && *it == m) {
-      return ptrs_[std::size_t(it - dirty_->begin())];
+    const auto it = std::lower_bound(dirty_.begin(), dirty_.end(), m);
+    if (it != dirty_.end() && *it == m) {
+      return cow_->mem_frames[std::size_t(it - dirty_.begin())]
+          .second->bytes.data();
     }
     return base_->memory.data() + m * sim::kPageSize;
   }
@@ -355,7 +334,7 @@ class StateView {
     return v;
   }
   [[nodiscard]] const hv::PageInfo& page_info(std::uint64_t m) const {
-    const auto& fs = *frames_;  // ascending by mfn (capture order)
+    const auto& fs = cow_->frames;  // ascending by mfn (capture order)
     const auto it = std::lower_bound(
         fs.begin(), fs.end(), m,
         [](const auto& entry, std::uint64_t mfn) { return entry.first < mfn; });
@@ -365,33 +344,29 @@ class StateView {
 
   /// MFNs whose contents may differ from the shared root.
   [[nodiscard]] const std::vector<std::uint64_t>& dirty_frames() const {
-    return *dirty_;
+    return dirty_;
   }
   /// MFNs whose PageInfo differs from the shared root.
   [[nodiscard]] std::vector<std::uint64_t> changed_page_infos() const {
     std::vector<std::uint64_t> out;
-    out.reserve(frames_->size());
-    for (const auto& [m, pi] : *frames_) out.push_back(m);
+    out.reserve(cow_->frames.size());
+    for (const auto& [m, pi] : cow_->frames) out.push_back(m);
     return out;
   }
 
   [[nodiscard]] const std::vector<hv::Domain>& domains() const {
-    return *domains_;
+    return cow_->domains;
   }
-  [[nodiscard]] const hv::GrantOps::State& grants() const { return *grants_; }
-  [[nodiscard]] bool crashed() const { return crashed_; }
-  [[nodiscard]] bool cpu_hung() const { return cpu_hung_; }
+  [[nodiscard]] const hv::GrantOps::State& grants() const {
+    return cow_->grants;
+  }
+  [[nodiscard]] bool crashed() const { return cow_->crashed; }
+  [[nodiscard]] bool cpu_hung() const { return cow_->cpu_hung; }
 
  private:
   const hv::HvSnapshot* base_;
-  const std::vector<std::uint64_t>* dirty_ = nullptr;
-  std::vector<std::uint64_t> dirty_storage_;      ///< CoW source only
-  std::vector<const std::uint8_t*> ptrs_;         ///< parallel to *dirty_
-  const std::vector<std::pair<std::uint64_t, hv::PageInfo>>* frames_;
-  const std::vector<hv::Domain>* domains_;
-  const hv::GrantOps::State* grants_;
-  bool crashed_ = false;
-  bool cpu_hung_ = false;
+  const hv::HvCowState* cow_;
+  std::vector<std::uint64_t> dirty_;  ///< cow_->mem_frames' MFNs
 };
 
 /// Ascending union of two sorted MFN lists.
@@ -617,396 +592,272 @@ std::string Counterexample::trace_string() const {
   return out;
 }
 
-// ----------------------------------------------------- engine-shared helpers
-
-namespace {
-
-/// Deterministic byte accounting for one queued frontier state: a pure
-/// function of the item (label bytes, resident frame count, bookkeeping
-/// overrides), never of allocator or scheduling behavior — so chunking and
-/// spill decisions are identical at any thread count, and peak_frontier_bytes
-/// is a cmp-stable statistic. `resident_frames` is the delta dirty count for
-/// the serial queue and the owned-block count for a CoW node.
-std::uint64_t frontier_item_cost(const std::vector<Op>& prefix,
-                                 std::uint64_t resident_frames,
-                                 std::uint64_t page_infos) {
-  std::uint64_t bytes = 512;
-  for (const Op& op : prefix) bytes += 128 + op.label.size();
-  return bytes + resident_frames * (sim::kPageSize + 64) + page_infos * 48;
-}
-
+// ------------------------------------------------------------ spill records
+//
 // Spill records are self-delimiting little-endian blobs: the op prefix that
 // re-derives the state by replay from the root, plus the expected state
 // hash (reloads self-verify). Bookkeeping like GrantTable is deliberately
 // not serialized — replay through the public hypercall surface is the only
-// portable encoding of hypervisor-private state (DESIGN.md §16).
+// portable encoding of hypervisor-private state (DESIGN.md §16). Records are
+// read back from disk, so the decoder treats them as untrusted input.
 
-void put_u8(std::string& buf, std::uint8_t v) {
-  buf.push_back(static_cast<char>(v));
+namespace {
+
+void put_u8(std::vector<std::uint8_t>& buf, std::uint8_t v) {
+  buf.push_back(v);
 }
-void put_u32(std::string& buf, std::uint32_t v) {
+void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) put_u8(buf, (v >> (8 * i)) & 0xff);
 }
-void put_u64(std::string& buf, std::uint64_t v) {
+void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) put_u8(buf, (v >> (8 * i)) & 0xff);
 }
 
-void read_exact(std::istream& in, char* dst, std::size_t n) {
-  in.read(dst, static_cast<std::streamsize>(n));
-  if (in.gcount() != static_cast<std::streamsize>(n)) {
-    throw std::runtime_error{"model checker: truncated spill record"};
+/// Bounds-checked little-endian reader: a read past the end latches
+/// `ok = false` and yields 0, so a decoder checks once per field group.
+struct SpillReader {
+  std::span<const std::uint8_t> bytes;
+  std::size_t pos = 0;
+  bool ok = true;
+
+  [[nodiscard]] std::size_t remaining() const { return bytes.size() - pos; }
+  std::uint8_t u8() {
+    if (remaining() < 1) { ok = false; return 0; }
+    return bytes[pos++];
   }
-}
-std::uint8_t get_u8(std::istream& in) {
-  char c = 0;
-  read_exact(in, &c, 1);
-  return static_cast<std::uint8_t>(c);
-}
-std::uint32_t get_u32(std::istream& in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{get_u8(in)} << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{get_u8(in)} << (8 * i);
-  return v;
-}
-
-void put_op(std::string& buf, const Op& op) {
-  put_u8(buf, static_cast<std::uint8_t>(op.kind));
-  put_u8(buf, static_cast<std::uint8_t>(op.level));
-  put_u64(buf, static_cast<std::uint64_t>(op.caller));
-  put_u64(buf, op.ptr);
-  put_u64(buf, op.val);
-  put_u64(buf, op.mfn.raw());
-  put_u64(buf, op.pfn.raw());
-  put_u64(buf, op.out.raw());
-  put_u32(buf, op.gref);
-  put_u32(buf, op.version);
-  put_u64(buf, static_cast<std::uint64_t>(op.peer));
-  put_u32(buf, static_cast<std::uint32_t>(op.label.size()));
-  buf.append(op.label);
-}
-
-Op get_op(std::istream& in) {
-  Op op;
-  op.kind = static_cast<Op::Kind>(get_u8(in));
-  op.level = static_cast<int>(get_u8(in));
-  op.caller = static_cast<hv::DomainId>(get_u64(in));
-  op.ptr = get_u64(in);
-  op.val = get_u64(in);
-  op.mfn = sim::Mfn{get_u64(in)};
-  op.pfn = sim::Pfn{get_u64(in)};
-  op.out = sim::Vaddr{get_u64(in)};
-  op.gref = get_u32(in);
-  op.version = get_u32(in);
-  op.peer = static_cast<hv::DomainId>(get_u64(in));
-  const std::uint32_t label_len = get_u32(in);
-  op.label.resize(label_len);
-  if (label_len != 0) read_exact(in, op.label.data(), label_len);
-  return op;
-}
-
-/// Append-only frontier spill file. The serial assembly stage is the only
-/// writer (and flushes before workers read); workers reload through their
-/// own read handles, so no stream is ever shared across threads.
-class SpillFile {
- public:
-  explicit SpillFile(std::string path) : path_{std::move(path)} {}
-
-  /// Serialize one spilled state; returns its byte offset in the file.
-  std::uint64_t append(const std::vector<Op>& prefix, std::uint64_t hash) {
-    if (!out_.is_open()) {
-      out_.open(path_, std::ios::binary | std::ios::trunc);
-      if (!out_) {
-        throw std::runtime_error{"model checker: cannot open spill file " +
-                                 path_};
-      }
-    }
-    std::string rec;
-    put_u32(rec, static_cast<std::uint32_t>(prefix.size()));
-    for (const Op& op : prefix) put_op(rec, op);
-    put_u64(rec, hash);
-    out_.write(rec.data(), static_cast<std::streamsize>(rec.size()));
-    if (!out_) {
-      throw std::runtime_error{"model checker: spill write failed: " + path_};
-    }
-    const std::uint64_t offset = bytes_;
-    bytes_ += rec.size();
-    return offset;
+  std::uint32_t u32() {
+    if (remaining() < 4) { ok = false; return 0; }
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes[pos++]} << (8 * i);
+    return v;
   }
-  void flush() {
-    if (out_.is_open()) out_.flush();
+  std::uint64_t u64() {
+    if (remaining() < 8) { ok = false; return 0; }
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes[pos++]} << (8 * i);
+    return v;
   }
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-  std::ofstream out_;
-  std::uint64_t bytes_ = 0;
 };
 
-struct SpillRecord {
-  std::vector<Op> prefix;
-  std::uint64_t hash = 0;
-};
-
-SpillRecord read_spill_record(std::ifstream& in, const std::string& path,
-                              std::uint64_t offset) {
-  if (!in.is_open()) {
-    in.open(path, std::ios::binary);
-    if (!in) {
-      throw std::runtime_error{"model checker: cannot open spill file " +
-                               path};
-    }
-  }
-  in.clear();  // a prior read may have left eof set
-  in.seekg(static_cast<std::streamoff>(offset));
-  SpillRecord rec;
-  const std::uint32_t n_ops = get_u32(in);
-  rec.prefix.reserve(n_ops);
-  for (std::uint32_t i = 0; i < n_ops; ++i) rec.prefix.push_back(get_op(in));
-  rec.hash = get_u64(in);
-  return rec;
+[[noreturn]] void bad_spill_record(const std::string& why) {
+  throw std::runtime_error{"model checker: corrupt spill record: " + why};
 }
 
 }  // namespace
 
-// --------------------------------------------------------- serial BFS driver
+std::vector<std::uint8_t> encode_spill_record(const std::vector<Op>& prefix,
+                                              std::uint64_t hash) {
+  std::vector<std::uint8_t> buf;
+  put_u32(buf, static_cast<std::uint32_t>(prefix.size()));
+  for (const Op& op : prefix) {
+    put_u8(buf, static_cast<std::uint8_t>(op.kind));
+    put_u8(buf, static_cast<std::uint8_t>(op.level));
+    put_u64(buf, static_cast<std::uint64_t>(op.caller));
+    put_u64(buf, op.ptr);
+    put_u64(buf, op.val);
+    put_u64(buf, op.mfn.raw());
+    put_u64(buf, op.pfn.raw());
+    put_u64(buf, op.out.raw());
+    put_u32(buf, op.gref);
+    put_u32(buf, op.version);
+    put_u64(buf, static_cast<std::uint64_t>(op.peer));
+    put_u32(buf, static_cast<std::uint32_t>(op.label.size()));
+    buf.insert(buf.end(), op.label.begin(), op.label.end());
+  }
+  put_u64(buf, hash);
+  return buf;
+}
+
+SpillRecord decode_spill_record(std::span<const std::uint8_t> bytes,
+                                std::size_t max_ops) {
+  SpillReader in{bytes};
+  SpillRecord rec;
+  const std::uint32_t n_ops = in.u32();
+  if (!in.ok) bad_spill_record("truncated op count");
+  if (n_ops > max_ops) {
+    bad_spill_record(std::to_string(n_ops) + " ops exceed the depth bound " +
+                     std::to_string(max_ops));
+  }
+  // Fixed bytes per op: kind, level, six u64 operands, gref, version, peer
+  // and the label length.
+  constexpr std::size_t kOpFixedBytes = 2 + 6 * 8 + 4 + 4 + 8 + 4;
+  if (n_ops > in.remaining() / kOpFixedBytes) {
+    bad_spill_record("truncated: " + std::to_string(n_ops) + " ops declared");
+  }
+  rec.prefix.reserve(n_ops);
+  for (std::uint32_t i = 0; i < n_ops; ++i) {
+    Op op;
+    const std::uint8_t kind = in.u8();
+    if (kind > static_cast<std::uint8_t>(Op::Kind::GrantEndAccess)) {
+      bad_spill_record("unknown op kind " + std::to_string(kind));
+    }
+    op.kind = static_cast<Op::Kind>(kind);
+    op.level = in.u8();
+    if (op.level > 4) {
+      bad_spill_record("page-table level " + std::to_string(op.level));
+    }
+    op.caller = static_cast<hv::DomainId>(in.u64());
+    op.ptr = in.u64();
+    op.val = in.u64();
+    op.mfn = sim::Mfn{in.u64()};
+    op.pfn = sim::Pfn{in.u64()};
+    op.out = sim::Vaddr{in.u64()};
+    op.gref = in.u32();
+    op.version = in.u32();
+    op.peer = static_cast<hv::DomainId>(in.u64());
+    const std::uint32_t label_len = in.u32();
+    if (!in.ok) bad_spill_record("truncated op " + std::to_string(i));
+    if (label_len > kMaxSpillLabel || label_len > in.remaining()) {
+      bad_spill_record("label of " + std::to_string(label_len) +
+                       " bytes in op " + std::to_string(i));
+    }
+    op.label.assign(bytes.begin() + static_cast<std::ptrdiff_t>(in.pos),
+                    bytes.begin() +
+                        static_cast<std::ptrdiff_t>(in.pos + label_len));
+    in.pos += label_len;
+    rec.prefix.push_back(std::move(op));
+  }
+  rec.hash = in.u64();
+  if (!in.ok) bad_spill_record("truncated state hash");
+  if (in.remaining() != 0) {
+    bad_spill_record(std::to_string(in.remaining()) + " trailing bytes");
+  }
+  return rec;
+}
 
 namespace {
 
-ModelCheckResult run_model_check_serial(const ModelCheckConfig& config) {
-  ModelCheckResult result;
-  result.config = config;
-  result.threads_used = 1;
-
-  Machine machine{config};
-  hv::Hypervisor& vmm = machine.vmm;
-  vmm.reset_snapshot_stats();
-
-  const hv::HvSnapshot root = vmm.snapshot();
-  // The serial driver commits through the same owner API and shard layout
-  // as the sharded engine (it owns every shard), so shard_occupancy is
-  // identical at any thread count and the visited-ownership lint rule has
-  // no serial-path exception to carry.
-  ShardedVisited visited;
-  visited.owner_insert(visited.shard_of(root.hash), root.hash);
-  result.states_explored = 1;
-
-  // Violation records diff parent and child from their dirty sets against
-  // the shared root — no full snapshot is ever taken for a counterexample.
-  const auto record_violation = [&](const hv::HvDelta& parent_delta,
-                                    const std::vector<Op>& ops,
-                                    std::uint64_t state_hash,
-                                    const hv::SystemWalk& walk,
-                                    hv::InvariantReport report) {
-    ++result.violations_found;
-    const auto violated = report.violated_set();
-    for (const hv::Invariant inv : violated) {
-      ++result.invariant_hits[static_cast<std::size_t>(inv)];
-    }
-    const auto classes = classify_erroneous_state(vmm, walk, report);
-    for (const ErroneousStateClass c : classes) {
-      ++result.class_hits[static_cast<std::size_t>(c)];
-    }
-    if (result.counterexamples.size() >= config.max_counterexamples) return;
-    Counterexample cx;
-    cx.ops = ops;
-    cx.depth = static_cast<unsigned>(ops.size());
-    cx.state_hash = state_hash;
-    cx.violated = violated;
-    cx.classes = classes;
-    const hv::HvDelta child_delta = vmm.snapshot_delta(root);
-    cx.state_diff = diff_states(StateView{root, parent_delta},
-                                StateView{root, child_delta});
-    cx.report = std::move(report);
-    result.counterexamples.push_back(std::move(cx));
-  };
-
-  // The boot state itself must satisfy every invariant; a dirty root makes
-  // everything downstream meaningless, so it is reported and terminal.
-  {
-    const hv::SystemWalk walk = hv::walk_system(vmm);
-    hv::InvariantReport report = hv::InvariantAuditor{vmm}.audit(walk);
-    if (!report.clean()) {
-      record_violation(vmm.snapshot_delta(root), {}, root.hash, walk,
-                       std::move(report));
-      return result;
-    }
+/// A run's private frontier spill file. It is created with mkstemp inside
+/// the spill directory — so runs sharing a directory never touch each
+/// other's records — and unlinked at once, so nothing is left behind on any
+/// exit path, a crash included; the open descriptor keeps it alive until
+/// the run ends. The serial settle stage is the only writer (records are
+/// buffered and written out before the next produce phase); workers reload
+/// with pread, which shares no file offset, so no lock is needed.
+class SpillFile {
+ public:
+  explicit SpillFile(std::string dir) : dir_{std::move(dir)} {}
+  SpillFile(const SpillFile&) = delete;
+  SpillFile& operator=(const SpillFile&) = delete;
+  ~SpillFile() {
+    if (fd_ >= 0) ::close(fd_);
   }
 
-  // Each queued state carries its delta against the root, so expansion is
-  // one delta-restore (O(dirty frames)) instead of restore-root-and-replay
-  // (O(machine) + prefix re-execution). The replay fallback preserves the
-  // old scheme; both must produce identical results.
-  struct WorkItem {
-    std::vector<Op> prefix;
-    hv::HvDelta delta;  ///< state vs root (unused by the replay fallback)
-    std::uint64_t cost = 0;  ///< frontier_item_cost at admission
-  };
-  std::deque<WorkItem> queue;
-  queue.push_back(WorkItem{{}, vmm.snapshot_delta(root), 0});
-  queue.back().cost = frontier_item_cost(queue.back().prefix,
-                                         queue.back().delta.mem_frames.size(),
-                                         queue.back().delta.frames.size());
-  std::uint64_t frontier_bytes = queue.back().cost;
-  result.peak_frontier_bytes = frontier_bytes;
-
-  obs::SpanProfiler* const prof = config.profiler;
-  bool stop = false;
-  while (!queue.empty() && !stop) {
-    const WorkItem item = std::move(queue.front());
-    queue.pop_front();
-    frontier_bytes -= item.cost;
-    if (item.prefix.size() >= config.depth) continue;
-    // Depth of the states this parent generates ("d1" = first op applied).
-    const unsigned depth = static_cast<unsigned>(item.prefix.size()) + 1;
-    if (config.status != nullptr) {
-      config.status->checker_depth(depth, queue.size() + 1);
-      config.status->checker_progress(result.states_explored,
-                                      result.violations_found);
-    }
-
-    hv::HvDelta parent_delta;
-    hv::HvSnapshot parent_full;  // replay fallback only
-    if (config.use_replay_fallback) {
-      vmm.restore(root);
-      for (const Op& op : item.prefix) (void)apply_op(vmm, op);
-      parent_full = vmm.snapshot();
-      parent_delta = vmm.snapshot_delta(root);
-    } else {
-      (void)vmm.restore_delta(root, item.delta);
-      parent_delta = item.delta;
-    }
-    const std::uint64_t parent_hash = parent_delta.hash;
-    const auto restore_parent = [&] {
-      if (config.use_replay_fallback) {
-        vmm.restore(parent_full);
-      } else {
-        (void)vmm.restore_delta(root, parent_delta);
-      }
-    };
-
-    const std::vector<Op> alphabet =
-        enumerate_ops(vmm, config, machine.guests);
-    std::uint64_t parent_applied = 0;  // deterministic expand/audit spans,
-    std::uint64_t parent_audited = 0;  // mirrored by the parallel merge
-    for (const Op& op : alphabet) {
-      ++result.ops_applied;
-      ++parent_applied;
-      const long rc = apply_op(vmm, op);
-      const std::uint64_t h = vmm.state_hash();
-      if (h == parent_hash) {
-        if (rc != hv::kOk) ++result.failed_ops;
-        continue;  // nothing changed; nothing to restore
-      }
-      if (!visited.owner_insert(visited.shard_of(h), h)) {
-        ++result.states_deduped;
-        restore_parent();
-        continue;
-      }
-      ++result.states_explored;
-      ++parent_audited;
-
-      std::vector<Op> trace = item.prefix;
-      trace.push_back(op);
-      const hv::SystemWalk walk = hv::walk_system(vmm);
-      hv::InvariantReport report = hv::InvariantAuditor{vmm}.audit(walk);
-      if (!report.clean()) {
-        // Violating states are terminal: the counterexample is minimal by
-        // BFS order, and exploring beyond a broken invariant only yields
-        // derivative noise.
-        record_violation(parent_delta, trace, h, walk, std::move(report));
-      } else {
-        WorkItem child{std::move(trace),
-                       config.use_replay_fallback ? hv::HvDelta{}
-                                                  : vmm.snapshot_delta(root),
-                       0};
-        child.cost = frontier_item_cost(child.prefix,
-                                        child.delta.mem_frames.size(),
-                                        child.delta.frames.size());
-        frontier_bytes += child.cost;
-        result.peak_frontier_bytes =
-            std::max(result.peak_frontier_bytes, frontier_bytes);
-        queue.push_back(std::move(child));
-      }
-      if (result.states_explored >= config.max_states) {
-        result.truncated = true;
-        stop = true;
-        break;
-      }
-      restore_parent();
-    }
-    if (prof != nullptr && parent_applied != 0) {
-      const std::string dname = "d" + std::to_string(depth);
-      prof->add({obs::kSpanCheck, dname, obs::kSpanExpand}, 1, parent_applied);
-      if (parent_audited != 0) {
-        prof->add({obs::kSpanCheck, dname, obs::kSpanAudit}, parent_audited,
-                  parent_audited);
-      }
-    }
+  /// Queue one record; returns its byte offset in the file.
+  std::uint64_t append(const std::vector<std::uint8_t>& rec) {
+    const std::uint64_t offset = bytes_ + pending_.size();
+    pending_.insert(pending_.end(), rec.begin(), rec.end());
+    return offset;
   }
 
-  const hv::SnapshotStats& stats = vmm.snapshot_stats();
-  result.snapshot_frames_copied = stats.frames_copied;
-  result.hash_frames_rehashed = stats.frames_rehashed;
-  result.delta_restores = stats.delta_restores;
-  result.full_restores = stats.full_restores;
-  result.cow_captures = stats.cow_captures;
-  result.cow_frames_copied = stats.cow_frames_copied;
-  result.cow_frames_shared = stats.cow_frames_shared;
-  result.ops_executed = result.ops_applied;
-  result.shard_occupancy = visited.occupancy();
-  return result;
+  /// Write every queued record (workers read them next).
+  void flush() {
+    if (pending_.empty()) return;
+    if (fd_ < 0) open();
+    std::size_t done = 0;
+    while (done < pending_.size()) {
+      const ssize_t n =
+          ::write(fd_, pending_.data() + done, pending_.size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) fail("spill write failed");
+      done += static_cast<std::size_t>(n);
+    }
+    bytes_ += pending_.size();
+    pending_.clear();
+  }
+
+  /// Read the `size`-byte record at `offset`. Thread-safe.
+  [[nodiscard]] std::vector<std::uint8_t> read(std::uint64_t offset,
+                                               std::size_t size) const {
+    std::vector<std::uint8_t> buf(size);
+    std::size_t done = 0;
+    while (done < size) {
+      const ssize_t n = ::pread(fd_, buf.data() + done, size - done,
+                                static_cast<off_t>(offset + done));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) fail("spill read failed");
+      done += static_cast<std::size_t>(n);
+    }
+    return buf;
+  }
+
+  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_; }
+
+ private:
+  void open() {
+    std::string path = dir_ + "/frontier.spill.XXXXXX";
+    fd_ = ::mkstemp(path.data());
+    if (fd_ < 0) fail("cannot create a spill file in " + dir_);
+    ::unlink(path.c_str());
+  }
+  [[noreturn]] static void fail(const std::string& what) {
+    throw std::runtime_error{"model checker: " + what + ": " +
+                             std::strerror(errno)};
+  }
+
+  std::string dir_;
+  int fd_ = -1;
+  std::uint64_t bytes_ = 0;
+  std::vector<std::uint8_t> pending_;
+};
+
+/// Deterministic byte accounting for one queued frontier state: a pure
+/// function of the item (label bytes, owned CoW blocks, page-info
+/// overrides), never of allocator or scheduling behavior — so chunking and
+/// spill decisions are identical at any thread count, and peak_frontier_bytes
+/// is a cmp-stable statistic.
+std::uint64_t frontier_item_cost(const std::vector<Op>& prefix,
+                                 std::uint64_t owned_frames,
+                                 std::uint64_t page_infos) {
+  std::uint64_t bytes = 512;
+  for (const Op& op : prefix) bytes += 128 + op.label.size();
+  return bytes + owned_frames * (sim::kPageSize + 64) + page_infos * 48;
 }
 
-// ------------------------------------------ single-pass owner-computes engine
+// --------------------------------------------------------- exploration engine
 //
-// Ownership-partitioned exploration (DESIGN.md §16). The BFS frontier of
-// one depth (or one budget-sized chunk of it) runs in a single expansion
-// pass — every operation is applied exactly once, the serial engine's op
-// count — followed by a parallel owner-shard admission and a parallel
-// audit of the admitted states:
+// Ownership-partitioned exploration (DESIGN.md §16), the one engine at every
+// thread count. The BFS frontier of one depth (or one budget-sized chunk of
+// it) runs in a single expansion pass — every operation is applied exactly
+// once — followed by an owner-shard admission and a serial settle:
 //
 //   produce (parallel)  workers pull parents from an atomic cursor, restore
 //                       them (CoW restore, or replay for spilled parents),
 //                       apply the whole alphabet, and record a per-parent
 //                       op-outcome byte (unchanged-ok / unchanged-failed /
-//                       changed). Each changed successor not already in the
-//                       frozen pre-chunk visited set is speculatively
-//                       captured as a CoW forest node and posted to
-//                       inbox[shard][worker] — the single-writer cell of
-//                       the shard that owns its hash.
+//                       changed). A changed successor whose hash is neither
+//                       in the frozen pre-chunk visited set nor already
+//                       posted by this worker in this chunk is walked,
+//                       audited and classified right there, captured as a
+//                       CoW forest node where a later step needs one, and
+//                       posted to inbox[shard][worker] — the single-writer
+//                       cell of the shard that owns its hash. A worker takes
+//                       parents in ascending order, so its first posting of
+//                       a hash is its own smallest (parent, op) pair.
 //   admit  (parallel)   after the barrier each worker walks the shards it
 //                       owns (shard % threads == worker). The owner alone
 //                       decides admission: candidates sort by (hash,
 //                       parent, op) and the first (parent, op) pair of each
-//                       new hash — exactly the pair the serial BFS would
-//                       have encountered first — is committed. No global
-//                       merge, no replay of the visit order.
-//   settle (parallel)   admitted claims, sorted into serial (parent, op)
-//                       order with the serial max_states cut applied, are
-//                       restored from their captured CoW node — no op
-//                       re-application — and walked/audited/classified.
-//                       A serial assembly then emits violations,
-//                       counterexamples and the next frontier in claim
-//                       order, spilling states past the frontier budget.
+//                       new hash — exactly the pair a serial BFS would have
+//                       encountered first — is committed. No global merge,
+//                       no replay of the visit order.
+//   settle (serial)     admitted claims, sorted into serial (parent, op)
+//                       order with the max_states cut applied, become the
+//                       counters, violations, counterexamples and the next
+//                       frontier, spilling states past the frontier budget.
 //
 // Determinism rests on: admission is a pure function of the candidate set
 // (owner order can't matter — candidates carry their serial coordinates);
-// op application is a pure function of the restored state; counters and
-// the deterministic expand/audit spans are recomputed from the op-outcome
-// arrays in serial parent order; and diff lines depend only on contents,
-// for which every dirty list is a conservative superset. The visited
-// partition is `hash % kDefaultShards` with a fixed shard count, so the
-// committed set — and shard_occupancy — never depends on --threads.
+// op application and auditing are pure functions of the restored state;
+// counters and the deterministic expand/audit spans are recomputed from the
+// op-outcome arrays in serial parent order; and diff lines depend only on
+// contents, for which every dirty list is a conservative superset. The
+// visited partition is `hash % kDefaultShards` with a fixed shard count, so
+// the committed set — and shard_occupancy — never depends on --threads.
 
 /// One worker's private machine and root. All roots must hash identically
-/// (asserted at construction time by the driver) — that is what makes one
-/// worker's HvDelta meaningful on another worker's machine.
+/// (asserted at construction time by the driver) — that is what makes a CoW
+/// node captured on one worker's machine meaningful on another's.
 struct ShardWorker {
   Machine machine;
   hv::HvSnapshot root;
@@ -1017,38 +868,34 @@ struct ShardWorker {
   }
 };
 
-/// A queued state of the sharded engine: its op prefix and its CoW forest
-/// node. A spilled item drops both and keeps only its spill-file offset
-/// (plus its admission-time cost, which still drives chunking); reloads
-/// re-derive the state by replaying the serialized prefix from the root.
-struct CowFrontierItem {
+/// A queued state: its op prefix and its CoW forest node. A spilled item
+/// keeps only its spill-file extent (plus its admission-time cost, which
+/// still drives chunking) until the worker that expands it re-derives the
+/// state by replaying the record's prefix from the root.
+struct FrontierItem {
   std::vector<Op> prefix;
   hv::HvCowState cow;
   std::uint64_t hash = 0;
   std::uint64_t cost = 0;  ///< frontier_item_cost at admission
   bool spilled = false;
   std::uint64_t spill_offset = 0;
+  std::size_t spill_size = 0;
 };
 
-/// A speculatively captured successor, posted by its producing worker to
-/// the owning shard's inbox. Carries its serial coordinates (chunk-local
-/// parent index, alphabet index) so admission order is scheduling-free.
+/// A new successor, audited by its producing worker and posted to the
+/// owning shard's inbox. Carries its serial coordinates (chunk-local parent
+/// index, alphabet index) so admission order is scheduling-free.
 struct Candidate {
   std::uint32_t parent = 0;
   std::uint32_t op = 0;
   std::uint64_t hash = 0;
-  Op op_obj;               ///< the producing op (labels the trace)
-  hv::HvCowState cow;      ///< captured child — settle never re-applies ops
-};
-
-/// Settle-phase audit result for one admitted claim (violating only;
-/// clean claims just become next-frontier items).
-struct Settled {
+  Op op_obj;           ///< the producing op (labels the trace)
+  hv::HvCowState cow;  ///< clean states below the depth bound only
   bool violating = false;
-  hv::InvariantReport report;
   std::vector<hv::Invariant> violated;
   std::vector<ErroneousStateClass> classes;
-  std::vector<std::string> state_diff;
+  hv::InvariantReport report;           ///< while counterexample slots remain
+  std::vector<std::string> state_diff;  ///< likewise
 };
 
 /// Per-parent produce-phase outcome byte, the raw material from which the
@@ -1082,8 +929,19 @@ void run_on_workers(unsigned threads, const std::function<void(unsigned)>& fn) {
   if (error) std::rethrow_exception(error);
 }
 
-ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
-                                         unsigned threads) {
+void count_violation(ModelCheckResult& result,
+                     const std::vector<hv::Invariant>& violated,
+                     const std::vector<ErroneousStateClass>& classes) {
+  ++result.violations_found;
+  for (const hv::Invariant inv : violated) {
+    ++result.invariant_hits[static_cast<std::size_t>(inv)];
+  }
+  for (const ErroneousStateClass c : classes) {
+    ++result.class_hits[static_cast<std::size_t>(c)];
+  }
+}
+
+ModelCheckResult explore(const ModelCheckConfig& config, unsigned threads) {
   ModelCheckResult result;
   result.config = config;
   result.threads_used = threads;
@@ -1102,30 +960,21 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
   const hv::HvSnapshot& root = workers[0]->root;
   result.states_explored = 1;
 
-  // Root audit, identical to the serial driver: a dirty boot state is
-  // reported and terminal.
+  // The boot state itself must satisfy every invariant; a dirty root makes
+  // everything downstream meaningless, so it is reported and terminal.
   {
     const hv::SystemWalk walk = hv::walk_system(vmm0);
     hv::InvariantReport report = hv::InvariantAuditor{vmm0}.audit(walk);
     if (!report.clean()) {
-      ++result.violations_found;
-      const auto violated = report.violated_set();
-      for (const hv::Invariant inv : violated) {
-        ++result.invariant_hits[static_cast<std::size_t>(inv)];
-      }
-      const auto classes = classify_erroneous_state(vmm0, walk, report);
-      for (const ErroneousStateClass c : classes) {
-        ++result.class_hits[static_cast<std::size_t>(c)];
-      }
       Counterexample cx;
       cx.state_hash = root.hash;
-      cx.violated = violated;
-      cx.classes = classes;
-      const hv::HvDelta root_delta = vmm0.snapshot_delta(root);
-      cx.state_diff = diff_states(StateView{root, root_delta},
-                                  StateView{root, root_delta});
+      cx.violated = report.violated_set();
+      cx.classes = classify_erroneous_state(vmm0, walk, report);
       cx.report = std::move(report);
-      result.counterexamples.push_back(std::move(cx));
+      count_violation(result, cx.violated, cx.classes);
+      if (config.max_counterexamples != 0) {
+        result.counterexamples.push_back(std::move(cx));
+      }
       return result;
     }
   }
@@ -1136,21 +985,14 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
   const std::size_t n_shards = visited.shard_count();
   visited.owner_insert(visited.shard_of(root.hash), root.hash);
 
-  SpillFile spill{config.spill_dir.empty()
-                      ? std::string{}
-                      : config.spill_dir + "/frontier.spill"};
   const std::uint64_t budget = config.max_frontier_bytes;
   const bool can_spill = !config.spill_dir.empty() && budget != 0;
-  std::vector<std::ifstream> spill_readers(threads);
+  SpillFile spill{config.spill_dir};
 
-  std::vector<CowFrontierItem> frontier;
-  {
-    CowFrontierItem root_item;
-    root_item.cow = vmm0.snapshot_cow(root, nullptr, root.mem_generation);
-    root_item.hash = root.hash;
-    root_item.cost = frontier_item_cost(root_item.prefix, 0, 0);
-    frontier.push_back(std::move(root_item));
-  }
+  std::vector<FrontierItem> frontier(1);
+  frontier[0].cow = vmm0.snapshot_cow(root, nullptr, root.mem_generation);
+  frontier[0].hash = root.hash;
+  frontier[0].cost = frontier_item_cost(frontier[0].prefix, 0, 0);
   std::uint64_t resident = frontier[0].cost;
   result.peak_frontier_bytes = resident;
 
@@ -1163,7 +1005,7 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
   // Sched-kind engine spans each worker records for itself; they merge
   // into the main profiler — order-independently — after the run. The
   // deterministic expand/audit spans are recomputed by the serial
-  // assembly from the op-outcome arrays, never recorded by workers.
+  // settle from the op-outcome arrays, never recorded by workers.
   obs::SpanProfiler* const prof = config.profiler;
   std::vector<std::unique_ptr<obs::SpanProfiler>> wprofs;
   if (prof != nullptr) {
@@ -1179,13 +1021,16 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
   while (!frontier.empty() && !stop && level < config.depth) {
     const unsigned depth = level + 1;
     const std::string dname = "d" + std::to_string(depth);
+    // States at the depth bound are audited but never expanded, so they
+    // are neither captured nor queued.
+    const bool expand_children = depth < config.depth;
     if (config.status != nullptr) {
       config.status->checker_depth(depth, frontier.size());
       config.status->checker_progress(result.states_explored,
                                       result.violations_found);
     }
 
-    std::vector<CowFrontierItem> next_frontier;
+    std::vector<FrontierItem> next_frontier;
     std::uint64_t next_resident = 0;
 
     const std::size_t n_parents = frontier.size();
@@ -1205,12 +1050,12 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
         }
       }
       const std::size_t chunk_n = chunk_end - chunk_begin;
+      // Counterexample slots are filled in serial order by the settle, so
+      // when none is left before this chunk no state of it needs a diff.
+      const bool want_diffs =
+          result.counterexamples.size() < config.max_counterexamples;
 
       // ---- produce: apply every op of every chunk parent exactly once.
-      std::vector<const hv::HvCowState*> parent_cow(chunk_n, nullptr);
-      std::vector<const std::vector<Op>*> parent_prefix(chunk_n, nullptr);
-      std::vector<hv::HvCowState> reloaded_cow(chunk_n);
-      std::vector<std::vector<Op>> reloaded_prefix(chunk_n);
       std::vector<std::vector<std::uint8_t>> op_outcome(chunk_n);
       // inbox[shard][producer]: each producer appends only to its own
       // cell, each cell is read only after the barrier — race-free by
@@ -1229,35 +1074,33 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
             {obs::kSpanCheck, dname, obs::kSpanProduce,
              "w" + std::to_string(w)},
             obs::SpanKind::Sched};
+        // Hashes this worker already posted in this chunk. A repeat comes
+        // from a later (parent, op) pair of the same worker, which can
+        // never win admission, so it is not audited or captured again.
+        std::unordered_set<std::uint64_t> posted;
         while (true) {
           const std::size_t idx = next_parent.fetch_add(1);
           if (idx >= chunk_n) return;
-          const CowFrontierItem& item = frontier[chunk_begin + idx];
+          FrontierItem& item = frontier[chunk_begin + idx];
           if (item.spilled) {
-            // Reload: rewind to the root, replay the serialized prefix,
+            // Reload: rewind to the root, replay the recorded prefix,
             // verify the expected hash, re-capture as a parentless node.
             (void)vmm.restore_delta(self.root);
             const std::uint64_t replay_marker = vmm.memory().generation();
-            SpillRecord rec = read_spill_record(spill_readers[w], spill.path(),
-                                                item.spill_offset);
+            SpillRecord rec = decode_spill_record(
+                spill.read(item.spill_offset, item.spill_size), config.depth);
             for (const Op& op : rec.prefix) (void)apply_op(vmm, op);
             ops_executed_w[w] += rec.prefix.size();
             ++spill_reloads_w[w];
-            if (vmm.state_hash() != rec.hash) {
+            if (rec.hash != item.hash || vmm.state_hash() != rec.hash) {
               throw std::logic_error{
                   "model checker: spill replay diverged from its capture"};
             }
-            reloaded_cow[idx] =
-                vmm.snapshot_cow(self.root, nullptr, replay_marker);
-            reloaded_prefix[idx] = std::move(rec.prefix);
-            parent_cow[idx] = &reloaded_cow[idx];
-            parent_prefix[idx] = &reloaded_prefix[idx];
+            item.cow = vmm.snapshot_cow(self.root, nullptr, replay_marker);
+            item.prefix = std::move(rec.prefix);
           } else {
-            parent_cow[idx] = &item.cow;
-            parent_prefix[idx] = &item.prefix;
             (void)vmm.restore_cow(self.root, item.cow);
           }
-          const std::uint64_t parent_hash = item.hash;
           // The capture marker is re-taken after every restore: restores
           // stamp fresh generations, so "written after the marker" is
           // exactly "diverged from the restored parent".
@@ -1271,24 +1114,43 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
           for (std::uint32_t o = 0; o < alphabet.size(); ++o) {
             const long rc = apply_op(vmm, alphabet[o]);
             const std::uint64_t h = vmm.state_hash();
-            if (h == parent_hash) {
+            if (h == item.hash) {
               if (rc != hv::kOk) outcome[o] = kOpUnchangedFailed;
               continue;  // nothing changed; nothing to restore
             }
             outcome[o] = kOpChanged;
-            // Probe the frozen pre-chunk set: a hash committed at an
-            // earlier depth or chunk can never be admitted, so skip its
-            // capture. Same-chunk collisions are the owner's call.
-            if (!visited.probe(h)) {
+            // A hash committed at an earlier depth or chunk can never be
+            // admitted; same-chunk collisions across workers are the
+            // owner's call.
+            if (!visited.probe(h) && posted.insert(h).second) {
               Candidate c;
               c.parent = static_cast<std::uint32_t>(idx);
               c.op = o;
               c.hash = h;
               c.op_obj = alphabet[o];
-              c.cow = vmm.snapshot_cow(self.root, parent_cow[idx], marker);
+              const hv::SystemWalk walk = hv::walk_system(vmm);
+              hv::InvariantReport report =
+                  hv::InvariantAuditor{vmm}.audit(walk);
+              if (report.clean()) {
+                // Violating states are terminal: only clean ones expand.
+                if (expand_children) {
+                  c.cow = vmm.snapshot_cow(self.root, &item.cow, marker);
+                }
+              } else {
+                c.violating = true;
+                c.violated = report.violated_set();
+                c.classes = classify_erroneous_state(vmm, walk, report);
+                if (want_diffs) {
+                  const hv::HvCowState child =
+                      vmm.snapshot_cow(self.root, &item.cow, marker);
+                  c.state_diff = diff_states(StateView{self.root, item.cow},
+                                             StateView{self.root, child});
+                  c.report = std::move(report);
+                }
+              }
               inbox[visited.shard_of(h)][w].push_back(std::move(c));
             }
-            (void)vmm.restore_cow(self.root, *parent_cow[idx]);
+            (void)vmm.restore_cow(self.root, item.cow);
             marker = vmm.memory().generation();
           }
         }
@@ -1337,8 +1199,12 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
       });
       admit_span.end();
 
-      // ---- assembly 1 (serial): serial claim order, truncation cut,
-      // counters and the deterministic expand/audit spans.
+      // ---- settle (serial): claim order, truncation cut, counters and
+      // the deterministic expand/audit spans, then violations and the next
+      // frontier in claim order.
+      obs::ScopedSpan settle_span{prof,
+                                  {obs::kSpanCheck, dname, obs::kSpanSettle},
+                                  obs::SpanKind::Sched};
       std::vector<Candidate> claims;
       {
         std::size_t total = 0;
@@ -1353,11 +1219,11 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
                   return a.parent != b.parent ? a.parent < b.parent
                                               : a.op < b.op;
                 });
-      // The serial BFS stops right after the admission that reaches
+      // A serial BFS stops right after the admission that reaches
       // max_states; later pairs were never executed there and must not be
-      // counted, audited or queued here. (Hashes past the cut stay in the
-      // visited set — visible only through shard_occupancy on truncated
-      // runs, never in the report.)
+      // counted or queued here. (Hashes past the cut stay in the visited
+      // set — visible only through shard_occupancy on truncated runs,
+      // never in the report.)
       const std::uint64_t allowed = config.max_states - result.states_explored;
       if (claims.size() >= allowed) {
         claims.resize(static_cast<std::size_t>(allowed));
@@ -1392,100 +1258,60 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
       result.states_explored += claims.size();
       result.states_deduped += changed_total - claims.size();
 
-      // ---- settle: audit the admitted states from their captures — the
-      // single-pass payoff: no op is ever applied a second time.
-      std::vector<Settled> settled(claims.size());
-      std::atomic<std::size_t> next_claim{0};
-      obs::ScopedSpan settle_span{prof,
-                                  {obs::kSpanCheck, dname, obs::kSpanSettle},
-                                  obs::SpanKind::Sched};
-      run_on_workers(threads, [&](unsigned w) {
-        ShardWorker& self = *workers[w];
-        hv::Hypervisor& vmm = self.machine.vmm;
-        obs::ScopedSpan lane{
-            prof != nullptr ? wprofs[w].get() : nullptr,
-            {obs::kSpanCheck, dname, obs::kSpanSettle,
-             "w" + std::to_string(w)},
-            obs::SpanKind::Sched};
-        while (true) {
-          const std::size_t i = next_claim.fetch_add(1);
-          if (i >= claims.size()) return;
-          lane.add_steps(1);
-          const Candidate& c = claims[i];
-          (void)vmm.restore_cow(self.root, c.cow);
-          if (vmm.state_hash() != c.hash) {
-            throw std::logic_error{
-                "model checker: settled state diverged from its capture"};
-          }
-          const hv::SystemWalk walk = hv::walk_system(vmm);
-          hv::InvariantReport report = hv::InvariantAuditor{vmm}.audit(walk);
-          if (report.clean()) continue;
-          Settled& s = settled[i];
-          s.violating = true;
-          s.violated = report.violated_set();
-          s.classes = classify_erroneous_state(vmm, walk, report);
-          s.state_diff =
-              diff_states(StateView{self.root, *parent_cow[c.parent]},
-                          StateView{self.root, c.cow});
-          s.report = std::move(report);
-        }
-      });
-      settle_span.end();
-
-      // ---- assembly 2 (serial): violations and the next frontier, in
-      // claim order; states past the frontier budget spill to disk.
       std::unique_ptr<obs::ScopedSpan> spill_span;
-      for (std::size_t i = 0; i < claims.size(); ++i) {
-        Candidate& c = claims[i];
-        std::vector<Op> trace = *parent_prefix[c.parent];
-        trace.push_back(std::move(c.op_obj));
-        Settled& s = settled[i];
-        if (s.violating) {
-          ++result.violations_found;
-          for (const hv::Invariant inv : s.violated) {
-            ++result.invariant_hits[static_cast<std::size_t>(inv)];
-          }
-          for (const ErroneousStateClass cls : s.classes) {
-            ++result.class_hits[static_cast<std::size_t>(cls)];
-          }
+      for (Candidate& c : claims) {
+        // The op trace is built only for states that keep it.
+        const auto trace_of = [&] {
+          std::vector<Op> trace = frontier[chunk_begin + c.parent].prefix;
+          trace.push_back(std::move(c.op_obj));
+          return trace;
+        };
+        if (c.violating) {
+          count_violation(result, c.violated, c.classes);
           if (result.counterexamples.size() < config.max_counterexamples) {
             Counterexample cx;
-            cx.ops = std::move(trace);
+            cx.ops = trace_of();
             cx.depth = static_cast<unsigned>(cx.ops.size());
             cx.state_hash = c.hash;
-            cx.violated = std::move(s.violated);
-            cx.classes = std::move(s.classes);
-            cx.state_diff = std::move(s.state_diff);
-            cx.report = std::move(s.report);
+            cx.violated = std::move(c.violated);
+            cx.classes = std::move(c.classes);
+            cx.state_diff = std::move(c.state_diff);
+            cx.report = std::move(c.report);
             result.counterexamples.push_back(std::move(cx));
           }
-        } else if (!stop) {
-          CowFrontierItem child;
-          child.hash = c.hash;
-          child.cost = frontier_item_cost(trace, c.cow.owned_frames,
-                                          c.cow.frames.size());
-          if (can_spill && next_resident + child.cost > budget) {
-            if (spill_span == nullptr) {
-              spill_span = std::make_unique<obs::ScopedSpan>(
-                  prof,
-                  std::initializer_list<std::string_view>{
-                      obs::kSpanCheck, dname, obs::kSpanSpill},
-                  obs::SpanKind::Sched);
-            }
-            child.spilled = true;
-            child.spill_offset = spill.append(trace, c.hash);
-            ++result.frontier_spilled_items;
-          } else {
-            child.prefix = std::move(trace);
-            child.cow = std::move(c.cow);
-            next_resident += child.cost;
-          }
-          next_frontier.push_back(std::move(child));
+          continue;
         }
+        if (stop || !expand_children) continue;
+        std::vector<Op> trace = trace_of();
+        FrontierItem child;
+        child.hash = c.hash;
+        child.cost = frontier_item_cost(trace, c.cow.owned_frames,
+                                        c.cow.frames.size());
+        if (can_spill && next_resident + child.cost > budget) {
+          if (spill_span == nullptr) {
+            spill_span = std::make_unique<obs::ScopedSpan>(
+                prof,
+                std::initializer_list<std::string_view>{
+                    obs::kSpanCheck, dname, obs::kSpanSpill},
+                obs::SpanKind::Sched);
+          }
+          const std::vector<std::uint8_t> rec =
+              encode_spill_record(trace, c.hash);
+          child.spilled = true;
+          child.spill_offset = spill.append(rec);
+          child.spill_size = rec.size();
+          ++result.frontier_spilled_items;
+        } else {
+          child.prefix = std::move(trace);
+          child.cow = std::move(c.cow);
+          next_resident += child.cost;
+        }
+        next_frontier.push_back(std::move(child));
       }
       spill.flush();  // workers read these records next depth
       result.frontier_spill_bytes = spill.bytes_written();
       spill_span.reset();
+      settle_span.end();
 
       result.peak_frontier_bytes =
           std::max(result.peak_frontier_bytes, resident + next_resident);
@@ -1494,9 +1320,9 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
       // working set stays bounded by the budget (plus the chunk in
       // flight), not by the depth's full frontier.
       for (std::size_t idx = 0; idx < chunk_n; ++idx) {
-        CowFrontierItem& item = frontier[chunk_begin + idx];
+        FrontierItem& item = frontier[chunk_begin + idx];
         if (!item.spilled) resident -= item.cost;
-        item = CowFrontierItem{};
+        item = FrontierItem{};
       }
       chunk_begin = chunk_end;
     }
@@ -1529,29 +1355,18 @@ ModelCheckResult run_model_check_sharded(const ModelCheckConfig& config,
 
 }  // namespace
 
-// --------------------------------------------------------------- dispatcher
-
 ModelCheckResult run_model_check(const ModelCheckConfig& config) {
   unsigned threads = config.threads != 0
                          ? config.threads
                          : std::max(1u, std::thread::hardware_concurrency());
   // More workers than cores only adds machines to boot; cap generously.
   threads = std::min(threads, 32u);
-  if (config.use_replay_fallback) threads = 1;
-  // Spilling lives in the sharded engine only; a single-worker spilling run
-  // goes through it too (the reports are byte-identical either way). The
-  // replay fallback keeps the plain serial BFS and never spills.
-  const bool wants_spill = !config.use_replay_fallback &&
-                           !config.spill_dir.empty() &&
-                           config.max_frontier_bytes != 0;
   if (config.status != nullptr) config.status->checker_begin();
   ModelCheckResult result;
   {
     // Root of the deterministic span tree; per-depth children hang off it.
     obs::ScopedSpan check_span{config.profiler, obs::kSpanCheck};
-    result = threads <= 1 && !wants_spill
-                 ? run_model_check_serial(config)
-                 : run_model_check_sharded(config, std::max(threads, 1u));
+    result = explore(config, threads);
   }
   if (config.status != nullptr) {
     config.status->checker_progress(result.states_explored,

@@ -12,8 +12,8 @@
 // type transitions — and audits every reachable state against all nine
 // InvariantAuditor invariants.
 //
-// Exploration is breadth-first over snapshot/restore (hv/snapshot.hpp)
-// with FNV-1a state hashing for dedup and a FIFO work queue, so runs are
+// Exploration is breadth-first over the copy-on-write snapshot forest
+// (hv/snapshot.hpp) with FNV-1a state hashing for dedup, so runs are
 // deterministic and every counterexample trace is minimal (no shorter
 // operation sequence reaches that violating state). Violating states are
 // terminal: the checker reports the op sequence, the violated invariants,
@@ -29,6 +29,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,8 +65,8 @@ struct ModelCheckConfig {
   /// Safety valves.
   std::uint64_t max_states = 100000;
   std::size_t max_counterexamples = 32;
-  /// Worker threads for the single-pass owner-computes exploration: 0 picks
-  /// hardware concurrency, 1 keeps the serial BFS. Any value produces
+  /// Worker threads of the owner-computes exploration engine: 0 picks
+  /// hardware concurrency. Every value runs the same engine and produces
   /// byte-identical violations, counterexamples and render_report() —
   /// dedup admission is partitioned by state hash over fixed shards, and
   /// each shard owner independently reproduces the serial first-encounter
@@ -78,26 +79,24 @@ struct ModelCheckConfig {
   /// the budget spill to disk when spill_dir is set; with no spill_dir the
   /// budget only drives chunking and the frontier stays resident.
   std::uint64_t max_frontier_bytes = 0;
-  /// Directory for the frontier spill file (created by the caller). Spilled
-  /// states store their op prefix + expected hash and are re-derived by
-  /// replay on reload — reports are byte-identical with or without
-  /// spilling; only the extra replay applications differ (ops_executed).
+  /// Directory for the frontier spill file (created by the caller). Each
+  /// run creates its own uniquely named file there and unlinks it at once,
+  /// so concurrent runs may share the directory. Spilled states store their
+  /// op prefix + expected hash and are re-derived by replay on reload —
+  /// reports are byte-identical with or without spilling; only the extra
+  /// replay applications differ (ops_executed). A budget of 1 byte spills
+  /// every queued state, which turns the run into a replay oracle: each
+  /// expanded state is re-derived from the root and checked against its
+  /// hash.
   std::string spill_dir;
-  /// Use the pre-delta exploration scheme (one full snapshot per expanded
-  /// state, re-derive queued states by restoring the root and replaying the
-  /// op prefix) instead of delta snapshot/restore. Kept for cross-checking:
-  /// both schemes must produce identical results — tests diff them.
-  /// Forces serial exploration.
-  bool use_replay_fallback = false;
   /// Optional telemetry, both null by default (instrumentation then costs
   /// one branch per site). The profiler receives deterministic per-depth
   /// check/dN/{expand,audit} spans whose counts and steps are identical at
-  /// any thread count — the serial driver records them directly, the
-  /// sharded driver recomputes the serial tallies from its per-parent scan
-  /// records — plus Sched-kind produce/admit/settle/spill engine phases
-  /// (wall-only, per worker). The board receives live depth / frontier /
-  /// states-explored updates for the /status endpoint. Single run per
-  /// profiler: spans accumulate.
+  /// any thread count — the engine recomputes the serial tallies from its
+  /// per-parent scan records — plus Sched-kind produce/admit/settle/spill
+  /// engine phases (wall-only, per worker for produce/admit). The board
+  /// receives live depth / frontier / states-explored updates for the
+  /// /status endpoint. Single run per profiler: spans accumulate.
   obs::SpanProfiler* profiler = nullptr;
   obs::StatusBoard* status = nullptr;
 };
@@ -219,6 +218,28 @@ struct ModelCheckResult {
 /// Run the bounded check. Deterministic: identical config → identical
 /// result, including counterexample order.
 [[nodiscard]] ModelCheckResult run_model_check(const ModelCheckConfig& config);
+
+/// Spill-record codec of the bounded frontier (DESIGN.md §16): the op
+/// prefix that re-derives a queued state by replay from the root, plus the
+/// state's expected hash, little-endian and self-delimiting.
+[[nodiscard]] std::vector<std::uint8_t> encode_spill_record(
+    const std::vector<Op>& prefix, std::uint64_t hash);
+
+struct SpillRecord {
+  std::vector<Op> prefix;
+  std::uint64_t hash = 0;
+};
+
+/// Longest op label a spill record may carry.
+inline constexpr std::size_t kMaxSpillLabel = 4096;
+
+/// Decode one record that spans exactly `bytes`. Spill files come back from
+/// disk, so the input is untrusted: throws std::runtime_error on truncation
+/// or trailing bytes, on more than `max_ops` ops (the run's depth bound), on
+/// a label longer than kMaxSpillLabel, and on an op kind or page-table level
+/// outside the alphabet. Allocation is bounded by the input's size.
+[[nodiscard]] SpillRecord decode_spill_record(
+    std::span<const std::uint8_t> bytes, std::size_t max_ops);
 
 /// Multi-line human-readable summary (what analysis_cli prints).
 /// Byte-identical at any thread count; snapshot-engine work counters are

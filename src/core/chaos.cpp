@@ -10,7 +10,7 @@ namespace ii::core {
 namespace {
 
 // The closed vocabulary of injectable harness faults. Every chaos_fire()
-// call site in src/ names a row here (ii-lint rule chaos-point-registry);
+// call site in src/ names a row here (ii_analyze rule chaos-point-registry);
 // parse_chaos_plan rejects anything else, so a typo in a --chaos-plan is
 // an error instead of a silently never-firing point.
 constexpr ChaosPointEntry kChaosPointTable[] = {

@@ -107,7 +107,7 @@ using ChaosPlan = std::map<std::string, ChaosSpec, std::less<>>;
 // -------------------------------------------------------------- registry
 
 /// One row of the chaos-point registry: every name passed to chaos_fire()
-/// anywhere in src/ must have a row (ii-lint rule chaos-point-registry),
+/// anywhere in src/ must have a row (ii_analyze rule chaos-point-registry),
 /// so the vocabulary of injectable faults is closed and documented.
 struct ChaosPointEntry {
   std::string_view name;
@@ -184,7 +184,7 @@ class ChaosScope {
 };
 
 /// The chaos point primitive: false (one atomic load) when no engine is
-/// installed. `point` must be a registered name — ii-lint rule
+/// installed. `point` must be a registered name — ii_analyze rule
 /// chaos-point-registry greps call sites against the registry table.
 [[nodiscard]] bool chaos_fire(std::string_view point);
 

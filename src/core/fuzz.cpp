@@ -1,7 +1,12 @@
 #include "core/fuzz.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <cerrno>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -414,11 +419,23 @@ bool store_trace_file(const std::string& path, const CorpusEntry& entry,
                       hv::XenVersion version) {
   if (chaos_fire("fuzz.corpus_write_fail")) return false;
   const std::vector<std::uint8_t> bytes = serialize_trace(entry, version);
-  std::ofstream os{path, std::ios::binary | std::ios::trunc};
-  if (!os) return false;
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(os);
+  // Write a private temporary next to the target and rename it into place:
+  // runs sharing a corpus directory never see, or leave, a torn trace.
+  std::string tmp = path + ".XXXXXX";
+  const int fd = ::mkstemp(tmp.data());
+  if (fd < 0) return false;
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+  bool ok = done == bytes.size() && ::fchmod(fd, 0644) == 0;
+  ok = ::close(fd) == 0 && ok;
+  ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) ::unlink(tmp.c_str());
+  return ok;
 }
 
 std::optional<CorpusEntry> load_trace_file(const std::string& path,

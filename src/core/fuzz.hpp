@@ -222,7 +222,9 @@ struct CorpusEntry {
 
 /// File I/O wrappers (chaos points fuzz.corpus_write_fail /
 /// fuzz.corpus_read_fail cover the failure paths). store returns false on
-/// refusal or I/O error; load returns nullopt.
+/// refusal or I/O error; load returns nullopt. store replaces `path`
+/// atomically (unique temporary, then rename), so concurrent runs sharing a
+/// corpus directory never read or leave a torn trace.
 bool store_trace_file(const std::string& path, const CorpusEntry& entry,
                       hv::XenVersion version);
 [[nodiscard]] std::optional<CorpusEntry> load_trace_file(

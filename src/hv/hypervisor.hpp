@@ -43,6 +43,7 @@ struct RecoveryReport;  // recovery.hpp
 struct HvSnapshot;      // snapshot.hpp
 struct HvDelta;         // snapshot.hpp
 struct HvCowState;      // snapshot.hpp
+struct HvFrameBlock;    // snapshot.hpp
 
 /// Counters over the snapshot/hash/restore machinery since the last
 /// reset_snapshot_stats(). The campaign and the model checker surface these
@@ -53,7 +54,7 @@ struct SnapshotStats {
   std::uint64_t frames_rehashed = 0;   ///< frame digests recomputed
   std::uint64_t frames_hash_cached = 0;  ///< frame digests reused
   std::uint64_t full_restores = 0;
-  std::uint64_t delta_restores = 0;    ///< both restore_delta overloads
+  std::uint64_t delta_restores = 0;    ///< restore_delta(base) calls
   std::uint64_t frames_copied = 0;     ///< frames written by restores
   std::uint64_t delta_snapshots = 0;
   std::uint64_t frames_delta_captured = 0;  ///< frames copied into deltas
@@ -251,24 +252,6 @@ class Hypervisor {
   /// taken. Byte-identical to restore(base). Returns frames copied.
   std::uint64_t restore_delta(const HvSnapshot& base);
 
-  /// Restore to the state `delta` describes (captured against `base`),
-  /// from any current state: frames currently diverged from the baseline
-  /// are rewound, frames the delta carries are applied. Returns frames
-  /// copied.
-  ///
-  /// `foreign` must be set when `delta` was captured on a *different*
-  /// Hypervisor instance (booted identically, so `base` — which must be
-  /// THIS machine's own root snapshot — matches the capturing machine's
-  /// root byte-for-byte). Write generations are per-machine: replaying the
-  /// capturer's recorded generations here could collide with a generation
-  /// this machine already handed to different bytes, leaving a stale entry
-  /// in the frame-digest cache. Foreign frames are therefore applied
-  /// through the ordinary write path, which stamps fresh generations;
-  /// rewinds to `base` keep the boot-time generations, which identically
-  /// booted machines share.
-  std::uint64_t restore_delta(const HvSnapshot& base, const HvDelta& delta,
-                              bool foreign = false);
-
   /// Capture the current state as a node of the copy-on-write snapshot
   /// forest (snapshot.hpp): frames diverged from `base` either alias the
   /// parent node's refcounted blocks (unchanged since the parent) or are
@@ -284,10 +267,13 @@ class Hypervisor {
 
   /// Restore to the state a CoW node describes, from any current state.
   /// CoW nodes are machine-portable (they carry bytes, not generations):
-  /// node frames go through the ordinary write path — fresh generations,
-  /// same reasoning as a foreign delta — and frames diverged from `base`
-  /// that the node does not carry are rewound to the baseline. Returns
-  /// frames copied.
+  /// node frames go through the ordinary write path, which stamps fresh
+  /// generations, and frames diverged from `base` that the node does not
+  /// carry are rewound to the baseline. A frame that still holds the very
+  /// block this machine last wrote there (same block, same generation) is
+  /// skipped, and each written frame's digest is re-seeded from its block,
+  /// so restoring a sibling of the current state costs O(frames that
+  /// differ). Returns frames copied.
   std::uint64_t restore_cow(const HvSnapshot& base, const HvCowState& cow);
 
   /// 64-bit FNV-1a digest of the semantically observable state (memory,
@@ -470,6 +456,13 @@ class Hypervisor {
   mutable std::vector<std::uint64_t> frame_digest_;
   mutable std::vector<std::uint64_t> frame_digest_gen_;
   mutable SnapshotStats snap_stats_;
+  // The CoW block restore_cow() last wrote into each frame and the
+  // generation that write stamped: while the frame still carries that
+  // generation it still holds the block's bytes, so restoring a node that
+  // shares the block skips the frame. Holding the reference keeps the
+  // block alive, so a recycled address can never alias a different block.
+  std::vector<std::shared_ptr<const HvFrameBlock>> cow_block_;
+  std::vector<std::uint64_t> cow_block_gen_;
 
   // state_hash / state_hash_full shared body (snapshot.cpp).
   [[nodiscard]] std::uint64_t state_hash_impl(bool use_cache) const;

@@ -6,7 +6,8 @@
 // generation, and the machine hash recombines the per-frame digests (one
 // u64 each) — so a hash after k frame writes re-reads 4 KiB * k, not the
 // whole machine. Delta capture/restore use the same generations to decide
-// which frames to copy; no byte comparisons anywhere.
+// which frames to copy; no byte comparisons anywhere. CoW blocks carry their
+// frame digest, so a CoW restore re-seeds the cache instead of rehashing.
 #include "hv/snapshot.hpp"
 
 #include <algorithm>
@@ -99,12 +100,9 @@ void Hypervisor::hash_bookkeeping(StateHasher& h) const {
     for (const sim::Mfn m : dom->pinned_tables()) pins.push_back(m.raw());
     std::sort(pins.begin(), pins.end());
     for (const std::uint64_t p : pins) h.u64(p);
-    for (std::uint8_t v = 0;; ++v) {
-      if (const auto handler = dom->trap_handler(v)) {
-        h.u8(v);
-        h.u64(handler->raw());
-      }
-      if (v == 255) break;
+    for (const auto& [vector, handler] : dom->trap_table()) {
+      h.u8(vector);
+      h.u64(handler.raw());
     }
   }
   h.u64(next_domid_);
@@ -337,6 +335,7 @@ HvCowState Hypervisor::snapshot_cow(const HvSnapshot& base,
   // else diverged from the root but untouched since the parent was restored,
   // so it must be — and is — aliased from the parent node. The marker must
   // have been read right after the parent restore, before any mutation.
+  std::vector<std::pair<std::uint64_t, HvFrameBlock*>> fresh;
   std::size_t p = 0;  // cursor into parent->mem_frames, ascending
   for (std::uint64_t m = 0; m < mem_->frame_count(); ++m) {
     const std::uint64_t gen = mem_->frame_generation(sim::Mfn{m});
@@ -345,6 +344,7 @@ HvCowState Hypervisor::snapshot_cow(const HvSnapshot& base,
       auto block = std::make_shared<HvFrameBlock>();
       const auto bytes = mem_->frame_bytes(sim::Mfn{m});
       std::copy(bytes.begin(), bytes.end(), block->bytes.begin());
+      fresh.emplace_back(m, block.get());
       cow.mem_frames.emplace_back(m, std::move(block));
       ++cow.owned_frames;
       ++snap_stats_.cow_frames_copied;
@@ -379,6 +379,8 @@ HvCowState Hypervisor::snapshot_cow(const HvSnapshot& base,
   cow.cpu_hung = cpu_hung_;
   cow.console = console_;
   cow.hash = state_hash();
+  // The hash just brought every frame's cached digest up to date.
+  for (const auto& [m, block] : fresh) block->digest = frame_digest_[m];
   return cow;
 }
 
@@ -392,20 +394,38 @@ std::uint64_t Hypervisor::restore_cow(const HvSnapshot& base,
   ++snap_stats_.cow_restores;
   std::uint64_t copied = 0;
 
-  // Same sweep as a foreign delta restore: node frames go through write()
-  // (CoW nodes carry no generations — they may have been captured on any
-  // identically booted machine), frames diverged from the root that the
-  // node does not carry are rewound to the root's boot-time generations.
+  // One ascending sweep. Node frames go through write() (CoW nodes carry
+  // no generations — they may have been captured on any identically booted
+  // machine), unless the frame still holds the same block from this
+  // machine's last restore; the block's digest re-seeds the hash cache at
+  // the fresh generation. Frames diverged from the root that the node does
+  // not carry are rewound to the root's boot-time generations.
+  const std::uint64_t n = mem_->frame_count();
+  if (cow_block_.size() != n) {
+    cow_block_.assign(n, nullptr);
+    cow_block_gen_.assign(n, 0);
+  }
+  if (frame_digest_.size() != n) {
+    frame_digest_.assign(n, 0);
+    frame_digest_gen_.assign(n, 0);
+  }
   std::size_t d = 0;
-  for (std::uint64_t m = 0; m < mem_->frame_count(); ++m) {
+  for (std::uint64_t m = 0; m < n; ++m) {
+    const std::uint64_t gen = mem_->frame_generation(sim::Mfn{m});
     if (d < cow.mem_frames.size() && cow.mem_frames[d].first == m) {
+      const HvFrameBlockRef& block = cow.mem_frames[d++].second;
+      if (cow_block_[m] == block && cow_block_gen_[m] == gen) continue;
       mem_->write(sim::mfn_to_paddr(sim::Mfn{m}),
-                  std::span<const std::uint8_t>{cow.mem_frames[d].second->bytes});
+                  std::span<const std::uint8_t>{block->bytes});
+      const std::uint64_t stamped = mem_->frame_generation(sim::Mfn{m});
+      cow_block_[m] = block;
+      cow_block_gen_[m] = stamped;
+      frame_digest_[m] = block->digest;
+      frame_digest_gen_[m] = stamped;
       ++copied;
-      ++d;
       continue;
     }
-    if (mem_->frame_generation(sim::Mfn{m}) != base.frame_gens[m]) {
+    if (gen != base.frame_gens[m]) {
       mem_->restore_frame(
           sim::Mfn{m},
           std::span{base.memory.data() + m * sim::kPageSize, sim::kPageSize},
@@ -430,74 +450,6 @@ std::uint64_t Hypervisor::restore_cow(const HvSnapshot& base,
   crashed_ = cow.crashed;
   cpu_hung_ = cow.cpu_hung;
   console_ = cow.console;
-  return copied;
-}
-
-std::uint64_t Hypervisor::restore_delta(const HvSnapshot& base,
-                                        const HvDelta& delta, bool foreign) {
-  if (base.frame_gens.size() != mem_->frame_count() ||
-      base.frames.size() != frames_.frame_count()) {
-    throw std::logic_error{
-        "restore_delta: baseline shape does not match this machine"};
-  }
-  if (delta.base_generation != base.mem_generation) {
-    throw std::logic_error{
-        "restore_delta: delta was captured against a different baseline"};
-  }
-  ++snap_stats_.delta_restores;
-  std::uint64_t copied = 0;
-
-  // One ascending sweep: frames the delta carries get the delta's bytes and
-  // recorded generation; frames it does not carry are identical to the
-  // baseline in the target state, so any that have diverged here are
-  // rewound to the baseline. A foreign delta's generations belong to the
-  // machine that captured it and could collide with generations this
-  // machine already stamped on different bytes (poisoning the digest
-  // cache), so its frames go through write() — a fresh generation per
-  // frame. Rewinds always use the baseline's generations: `base` is this
-  // machine's own root, and an identically booted capturer shares its
-  // boot-time (generation, content) pairs.
-  std::size_t d = 0;
-  for (std::uint64_t m = 0; m < mem_->frame_count(); ++m) {
-    if (d < delta.mem_frames.size() && delta.mem_frames[d] == m) {
-      const std::span bytes{delta.mem_bytes.data() + d * sim::kPageSize,
-                            sim::kPageSize};
-      if (foreign) {
-        mem_->write(sim::mfn_to_paddr(sim::Mfn{m}), bytes);
-      } else {
-        mem_->restore_frame(sim::Mfn{m}, bytes, delta.mem_frame_gens[d]);
-      }
-      ++copied;
-      ++d;
-      continue;
-    }
-    if (mem_->frame_generation(sim::Mfn{m}) != base.frame_gens[m]) {
-      mem_->restore_frame(
-          sim::Mfn{m},
-          std::span{base.memory.data() + m * sim::kPageSize, sim::kPageSize},
-          base.frame_gens[m]);
-      ++copied;
-    }
-  }
-  snap_stats_.frames_copied += copied;
-
-  // Bookkeeping: baseline frame table with the delta's overrides, then the
-  // delta's full (small) state.
-  for (std::uint64_t m = 0; m < frames_.frame_count(); ++m) {
-    frames_.info(sim::Mfn{m}) = base.frames[m];
-  }
-  for (const auto& [m, pi] : delta.frames) frames_.info(sim::Mfn{m}) = pi;
-  frames_.restore_allocator(delta.allocator);
-  domains_.clear();
-  for (const Domain& dom : delta.domains) {
-    domains_.emplace(dom.id(), std::make_unique<Domain>(dom));
-  }
-  next_domid_ = delta.next_domid;
-  grants_.restore(delta.grants);
-  events_.restore(delta.events);
-  crashed_ = delta.crashed;
-  cpu_hung_ = delta.cpu_hung;
-  console_ = delta.console;
   return copied;
 }
 

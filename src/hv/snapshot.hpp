@@ -20,15 +20,13 @@
 // physical memory's per-frame write generations at capture time. Relative
 // to such a baseline, HvDelta carries only the frames written since —
 // identified by generation mismatch, no byte comparison — plus the changed
-// frame-table entries and the (small) bookkeeping state in full. The pair
-// (baseline, delta) densely describes a machine state:
-//   Hypervisor::restore_delta(base)         — back to the baseline, copying
-//                                             only frames dirtied since;
-//   Hypervisor::snapshot_delta(base)        — capture the current state as
-//                                             a delta against the baseline;
-//   Hypervisor::restore_delta(base, delta)  — to the delta's state from
-//                                             *any* current state, copying
-//                                             only frames that can differ.
+// frame-table entries and the (small) bookkeeping state in full:
+//   Hypervisor::restore_delta(base)   — back to the baseline, copying only
+//                                       frames dirtied since;
+//   Hypervisor::snapshot_delta(base)  — capture the current state as a
+//                                       delta against the baseline.
+// Going *to* an arbitrary captured state is the CoW forest's job
+// (snapshot_cow / restore_cow, HvCowState below).
 #pragma once
 
 #include <array>
@@ -108,6 +106,10 @@ struct HvDelta {
 /// node referencing a block frees it — no explicit forest bookkeeping.
 struct HvFrameBlock {
   std::array<std::uint8_t, sim::kPageSize> bytes;
+  /// The frame digest state_hash() folds for these bytes, filled at
+  /// capture so restore_cow() re-seeds the digest cache instead of
+  /// rehashing the frame.
+  std::uint64_t digest = 0;
 };
 
 using HvFrameBlockRef = std::shared_ptr<const HvFrameBlock>;
@@ -118,7 +120,8 @@ using HvFrameBlockRef = std::shared_ptr<const HvFrameBlock>;
 /// one parent that an op left mostly untouched) share the frames the op
 /// did not write instead of each carrying a private copy. Unlike HvDelta a
 /// CoW node records no write generations: it is machine-portable by
-/// construction and always restored through the foreign-safe write path.
+/// construction, and restore_cow() writes its frames through the ordinary
+/// write path, which stamps this machine's own fresh generations.
 struct HvCowState {
   /// Frames whose contents may differ from the root, ascending by MFN.
   /// Blocks are shared with the parent node where the capture proved the

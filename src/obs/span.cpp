@@ -15,7 +15,7 @@ struct SpanNameEntry {
   std::string_view what;
 };
 
-// Render-name table: one row per registered span constant. ii-lint rule
+// Render-name table: one row per registered span constant. ii_analyze rule
 // span-render-name checks that every kSpan* constant referenced from src/
 // has a row here, so a new instrumentation site cannot ship an unnamed
 // phase.

@@ -52,7 +52,7 @@ enum class SpanKind : std::uint8_t { Det, Sched };
 //
 // Every span name used by instrumentation sites is a named constant here,
 // and every constant appears in the render-name table in span.cpp
-// (span_name_description) — enforced by ii-lint rule span-render-name.
+// (span_name_description) — enforced by ii_analyze rule span-render-name.
 // Dynamic segments (the checker's per-depth "d1", "d2", ... nodes) are the
 // deliberate exception: they are data, not vocabulary.
 

@@ -118,7 +118,7 @@ class PhysicalMemory {
   // The two generation-rolling entry points below are reserved for the
   // snapshot/restore engine (hv/snapshot.cpp): they re-establish a
   // previously observed (generation, contents) pair, which is only sound
-  // when bytes and generation were captured together. tools/ii-lint
+  // when bytes and generation were captured together. ii_analyze
   // enforces the confinement.
 
   /// Write `bytes` into `mfn` and roll its generation to `gen` (the value

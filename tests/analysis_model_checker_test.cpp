@@ -4,7 +4,10 @@
 // Plus the structural properties that make counterexamples trustworthy:
 // determinism, BFS minimality, and hash dedup actually firing.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <future>
 #include <random>
 
 #include "analysis/model_checker.hpp"
@@ -115,41 +118,6 @@ TEST(ModelChecker, MaxStatesTruncates) {
   EXPECT_LE(result.states_explored, 21u);  // may finish the expansion step
 }
 
-TEST(ModelChecker, DeltaExplorationMatchesReplayFallbackExactly) {
-  // The delta-restore scheme is a pure optimization: against the
-  // snapshot-root-and-replay fallback it must agree on every externally
-  // visible result, down to counterexample traces, hashes and diffs.
-  for (const hv::XenVersion version : {hv::kXen46, hv::kXen48}) {
-    auto config = config_for(version, 2, /*grants=*/version == hv::kXen48);
-    config.use_replay_fallback = false;
-    const auto delta = run_model_check(config);
-    config.use_replay_fallback = true;
-    const auto replay = run_model_check(config);
-
-    EXPECT_EQ(delta.states_explored, replay.states_explored);
-    EXPECT_EQ(delta.ops_applied, replay.ops_applied);
-    EXPECT_EQ(delta.states_deduped, replay.states_deduped);
-    EXPECT_EQ(delta.failed_ops, replay.failed_ops);
-    EXPECT_EQ(delta.violations_found, replay.violations_found);
-    EXPECT_EQ(delta.invariant_hits, replay.invariant_hits);
-    EXPECT_EQ(delta.class_hits, replay.class_hits);
-    ASSERT_EQ(delta.counterexamples.size(), replay.counterexamples.size());
-    for (std::size_t i = 0; i < delta.counterexamples.size(); ++i) {
-      const auto& a = delta.counterexamples[i];
-      const auto& b = replay.counterexamples[i];
-      EXPECT_EQ(a.trace_string(), b.trace_string()) << i;
-      EXPECT_EQ(a.state_hash, b.state_hash) << i;
-      EXPECT_EQ(a.state_diff, b.state_diff) << i;
-      EXPECT_EQ(a.violated == b.violated, true) << i;
-    }
-    // The schemes differ exactly where they should: the delta run restores
-    // deltas, the fallback restores full snapshots.
-    EXPECT_GT(delta.delta_restores, 0u);
-    EXPECT_GT(replay.full_restores, 0u);
-    EXPECT_LT(delta.snapshot_frames_copied, replay.snapshot_frames_copied);
-  }
-}
-
 TEST(ModelChecker, RenderReportMentionsEveryClass) {
   const auto result = run_model_check(config_for(hv::kXen46, 1));
   const std::string report = render_report(result);
@@ -159,35 +127,104 @@ TEST(ModelChecker, RenderReportMentionsEveryClass) {
   }
 }
 
-// Sharded exploration is a pure parallelization: dedup admission is owned
-// per hash shard and each owner reproduces the serial first-encounter
-// decision, so everything except the scheduling-dependent snapshot-engine
-// counters must be byte-identical at any thread count.
-void expect_identical_runs(ModelCheckConfig config) {
+/// A private, empty spill directory under the test temp dir, removed again
+/// when the test ends.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path{std::filesystem::path{testing::TempDir()} /
+             ("ii_spill_" + name + "_" + std::to_string(::getpid()))} {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  [[nodiscard]] std::string str() const { return path.string(); }
+
+  std::filesystem::path path;
+};
+
+/// The replay oracle: a one-byte frontier budget spills every queued state,
+/// so each expanded state is re-derived by replay from the root and checked
+/// against its recorded hash before it is expanded — no CoW restore, no
+/// digest-cache shortcut survives between a state's capture and its use.
+ModelCheckConfig replay_oracle(ModelCheckConfig config,
+                               const std::string& spill_dir) {
+  config.max_frontier_bytes = 1;
+  config.spill_dir = spill_dir;
+  return config;
+}
+
+void expect_same_result(const ModelCheckResult& want,
+                        const ModelCheckResult& got) {
+  EXPECT_EQ(render_report(want), render_report(got));
+  EXPECT_EQ(want.states_explored, got.states_explored);
+  EXPECT_EQ(want.ops_applied, got.ops_applied);
+  EXPECT_EQ(want.states_deduped, got.states_deduped);
+  EXPECT_EQ(want.failed_ops, got.failed_ops);
+  EXPECT_EQ(want.violations_found, got.violations_found);
+  EXPECT_EQ(want.truncated, got.truncated);
+  EXPECT_EQ(want.invariant_hits, got.invariant_hits);
+  EXPECT_EQ(want.class_hits, got.class_hits);
+  // Hashes admitted past a max_states cut stay in the visited set, and how
+  // many there are depends on the chunking, so occupancy is compared on
+  // complete runs only.
+  if (!want.truncated) {
+    EXPECT_EQ(want.shard_occupancy, got.shard_occupancy);
+  }
+  ASSERT_EQ(want.counterexamples.size(), got.counterexamples.size());
+  for (std::size_t i = 0; i < want.counterexamples.size(); ++i) {
+    const auto& a = want.counterexamples[i];
+    const auto& b = got.counterexamples[i];
+    EXPECT_EQ(a.trace_string(), b.trace_string()) << "#" << i;
+    EXPECT_EQ(a.state_hash, b.state_hash) << "#" << i;
+    EXPECT_EQ(a.state_diff, b.state_diff) << "#" << i;
+    EXPECT_TRUE(a.violated == b.violated) << "#" << i;
+  }
+}
+
+// One engine at every thread count: dedup admission is owned per hash
+// shard and each owner reproduces the serial first-encounter decision, so
+// everything except the scheduling-dependent snapshot-engine counters must
+// be byte-identical at any thread count — and, with `oracle_dir` set, equal
+// to the replay oracle's result too.
+void expect_identical_runs(ModelCheckConfig config,
+                           const std::string& oracle_dir = {}) {
   config.threads = 1;
   const auto serial = run_model_check(config);
-  const std::string serial_report = render_report(serial);
   for (const unsigned threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
     config.threads = threads;
-    const auto parallel = run_model_check(config);
-    EXPECT_EQ(serial_report, render_report(parallel)) << threads;
-    EXPECT_EQ(serial.states_explored, parallel.states_explored) << threads;
-    EXPECT_EQ(serial.ops_applied, parallel.ops_applied) << threads;
-    EXPECT_EQ(serial.states_deduped, parallel.states_deduped) << threads;
-    EXPECT_EQ(serial.failed_ops, parallel.failed_ops) << threads;
-    EXPECT_EQ(serial.violations_found, parallel.violations_found) << threads;
-    EXPECT_EQ(serial.truncated, parallel.truncated) << threads;
-    EXPECT_EQ(serial.invariant_hits, parallel.invariant_hits) << threads;
-    EXPECT_EQ(serial.class_hits, parallel.class_hits) << threads;
-    ASSERT_EQ(serial.counterexamples.size(), parallel.counterexamples.size())
-        << threads;
-    for (std::size_t i = 0; i < serial.counterexamples.size(); ++i) {
-      const auto& a = serial.counterexamples[i];
-      const auto& b = parallel.counterexamples[i];
-      EXPECT_EQ(a.trace_string(), b.trace_string()) << threads << "#" << i;
-      EXPECT_EQ(a.state_hash, b.state_hash) << threads << "#" << i;
-      EXPECT_EQ(a.state_diff, b.state_diff) << threads << "#" << i;
-      EXPECT_TRUE(a.violated == b.violated) << threads << "#" << i;
+    expect_same_result(serial, run_model_check(config));
+  }
+  if (!oracle_dir.empty()) {
+    SCOPED_TRACE("replay oracle");
+    config.threads = 2;
+    expect_same_result(serial,
+                       run_model_check(replay_oracle(config, oracle_dir)));
+  }
+}
+
+TEST(ModelChecker, ReplayOracleMatchesEveryThreadCount) {
+  // Every optimisation of the engine — CoW restore with skipped frames and
+  // re-seeded digests, audit at capture, dedup before capture — must agree
+  // with the slow path that re-derives each state by replay from the root.
+  const ScratchDir dir{"oracle"};
+  for (const hv::XenVersion version : {hv::kXen46, hv::kXen48}) {
+    SCOPED_TRACE(std::string{version.to_string()});
+    auto config = config_for(version, 2, /*grants=*/version == hv::kXen48);
+    config.threads = 1;
+    const auto oracle = run_model_check(replay_oracle(config, dir.str()));
+    EXPECT_GT(oracle.frontier_spill_reloads, 0u);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      config.threads = threads;
+      const auto fast = run_model_check(config);
+      EXPECT_EQ(fast.frontier_spilled_items, 0u);
+      expect_same_result(oracle, fast);
     }
   }
 }
@@ -221,10 +258,11 @@ TEST(ModelChecker, ParallelTruncationMatchesSerial) {
 TEST(ModelChecker, RandomizedConfigsMatchSerialProperty) {
   // Property sweep: random points of the configuration space (version,
   // depth <= 3, grant alphabet, truncation limits, domain sizing) must
-  // yield byte-identical reports at every thread count. Fixed seed so a
-  // failure reproduces.
+  // yield byte-identical reports at every thread count and under the
+  // replay oracle. Fixed seed so a failure reproduces.
   std::mt19937 rng{0x5eed9u};
   const hv::XenVersion versions[] = {hv::kXen46, hv::kXen48, hv::kXen413};
+  const ScratchDir dir{"property"};
   for (int trial = 0; trial < 5; ++trial) {
     ModelCheckConfig config;
     config.version = versions[rng() % 3];
@@ -237,7 +275,7 @@ TEST(ModelChecker, RandomizedConfigsMatchSerialProperty) {
     SCOPED_TRACE("trial " + std::to_string(trial) + " version " +
                  std::string(config.version.to_string()) + " depth " +
                  std::to_string(config.depth));
-    expect_identical_runs(config);
+    expect_identical_runs(config, dir.str());
   }
 }
 
@@ -253,7 +291,8 @@ TEST(ModelChecker, SpillingPreservesTheReportExactly) {
   EXPECT_EQ(unbounded.ops_executed, unbounded.ops_applied);
 
   config.max_frontier_bytes = 16 * 1024;
-  config.spill_dir = testing::TempDir();
+  const ScratchDir dir{"exact"};
+  config.spill_dir = dir.str();
   const auto spilled = run_model_check(config);
   EXPECT_GT(spilled.frontier_spilled_items, 0u);
   EXPECT_GT(spilled.frontier_spill_reloads, 0u);
@@ -291,16 +330,38 @@ TEST(ModelChecker, BudgetWithoutSpillDirOnlyChunks) {
 }
 
 TEST(ModelChecker, SerialSpillingAlsoPreservesTheReport) {
-  // The spill path is engine-independent: the serial driver chunks too,
-  // and a single-worker spilling run must match its resident twin.
+  // A single-worker spilling run chunks and replays like any other and
+  // must match its resident twin.
   auto config = config_for(hv::kXen48, 2, /*grants=*/true);
   config.threads = 1;
   const auto resident = run_model_check(config);
   config.max_frontier_bytes = 8 * 1024;
-  config.spill_dir = testing::TempDir();
+  const ScratchDir dir{"serial"};
+  config.spill_dir = dir.str();
   const auto spilled = run_model_check(config);
   EXPECT_EQ(render_report(resident), render_report(spilled));
   EXPECT_GT(spilled.frontier_spilled_items, 0u);
+}
+
+TEST(ModelChecker, ConcurrentRunsShareASpillDirectory) {
+  // Two spilling checks at once on one directory: each run owns a private
+  // spill file, so neither can read the other's records, and neither
+  // leaves a file behind.
+  auto config = config_for(hv::kXen46, 3);
+  config.threads = 2;
+  const auto resident = run_model_check(config);
+  const ScratchDir dir{"shared"};
+  config.max_frontier_bytes = 16 * 1024;
+  config.spill_dir = dir.str();
+  auto other = std::async(std::launch::async,
+                          [&config] { return run_model_check(config); });
+  const ModelCheckResult a = run_model_check(config);
+  const ModelCheckResult b = other.get();
+  EXPECT_GT(a.frontier_spilled_items, 0u);
+  EXPECT_GT(b.frontier_spilled_items, 0u);
+  EXPECT_EQ(render_report(resident), render_report(a));
+  EXPECT_EQ(render_report(resident), render_report(b));
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path));
 }
 
 TEST(ModelChecker, TruncatedCleanRunFailsTheExpectation) {

@@ -3,6 +3,7 @@
 // layer — journal writes, cell setup, supervisor workers, recovery phases
 // and the network simulator.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -134,7 +135,8 @@ TEST(ChaosRegistry, EveryPointIsNamedAndDescribed) {
 // ----------------------------------------------------------------- journal
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "chaos_" + name + ".jsonl";
+  return ::testing::TempDir() + "chaos_" + name + "_" +
+         std::to_string(::getpid()) + ".jsonl";
 }
 
 core::CellResult sample_cell(unsigned n) {

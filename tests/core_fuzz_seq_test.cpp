@@ -2,9 +2,11 @@
 // serialization, replay byte-identity, the delta-debugging minimizer, the
 // guided-vs-blind coverage claim, and the draw helpers' exact streams.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <random>
 #include <set>
 #include <string>
@@ -140,7 +142,8 @@ TEST(TraceSerialization, RejectsCorruption) {
 
 TEST(TraceSerialization, FileRoundTrip) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "ii_fuzz_seq_rt.trace")
+      (std::filesystem::temp_directory_path() /
+       ("ii_fuzz_seq_rt_" + std::to_string(::getpid()) + ".trace"))
           .string();
   CorpusEntry entry;
   entry.ops = all_kinds_trace();
@@ -174,7 +177,8 @@ TEST(SequenceFuzzer, DeterministicStatsAndOutcomeAccounting) {
 TEST(SequenceFuzzer, CorpusReplaysByteIdentically) {
   // Every persisted trace must reproduce its recorded outcome, classes
   // and post-state hash on a fresh platform — the CI replay gate.
-  const auto dir = std::filesystem::temp_directory_path() / "ii_fuzz_seq_c";
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ii_fuzz_seq_c_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   SeqFuzzConfig config = small_config(7, 60);
   config.corpus_dir = dir.string();
@@ -196,6 +200,34 @@ TEST(SequenceFuzzer, CorpusReplaysByteIdentically) {
   }
   std::filesystem::remove_all(dir);
   EXPECT_GT(checked, 0u);
+}
+
+TEST(SequenceFuzzer, ConcurrentRunsShareACorpusDirectory) {
+  // Two campaigns writing one corpus directory at once: every trace is
+  // replaced atomically, so each file left behind is a complete trace of
+  // one of the runs and no temporary survives.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ii_fuzz_seq_shared_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  SeqFuzzConfig a = small_config(7, 40);
+  SeqFuzzConfig b = small_config(8, 40);
+  a.corpus_dir = b.corpus_dir = dir.string();
+  auto other = std::async(std::launch::async,
+                          [&b] { return run_sequence_fuzzer(b); });
+  const SeqFuzzStats stats_a = run_sequence_fuzzer(a);
+  const SeqFuzzStats stats_b = other.get();
+  EXPECT_EQ(stats_a.corpus_write_failures, 0u);
+  EXPECT_EQ(stats_b.corpus_write_failures, 0u);
+
+  std::size_t files = 0;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(file.path().extension(), ".trace") << file.path();
+    EXPECT_TRUE(load_trace_file(file.path().string()).has_value())
+        << file.path();
+    ++files;
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_GE(files, std::max(stats_a.corpus_entries, stats_b.corpus_entries));
 }
 
 TEST(SequenceFuzzer, MinimizerPreservesOutcomeAndShrinks) {

@@ -1,6 +1,7 @@
 // Campaign supervisor: per-cell fault isolation, deterministic budgets,
 // retry/quarantine, and the resumable JSONL journal.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -121,7 +122,8 @@ class CountingCase final : public core::UseCase {
 };
 
 std::string temp_journal(const std::string& name) {
-  return ::testing::TempDir() + "supervisor_" + name + ".jsonl";
+  return ::testing::TempDir() + "supervisor_" + name + "_" +
+         std::to_string(::getpid()) + ".jsonl";
 }
 
 TEST(CampaignIsolation, ThrowingUseCaseDoesNotAbortTheCampaign) {

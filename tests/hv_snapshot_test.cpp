@@ -132,10 +132,10 @@ TEST(Snapshot, RejectsForeignShape) {
   EXPECT_THROW(f.hv.restore(snap), std::logic_error);
 }
 
-TEST(Snapshot, ForeignDeltaRestoresAcrossMachines) {
-  // The sharded model checker captures a delta on one worker's machine and
-  // replays it on another. Write generations are per-machine, so the
-  // foreign restore must stamp fresh generations for delta-carried frames —
+TEST(Snapshot, CowNodeRestoresAcrossMachines) {
+  // The model checker captures a CoW node on one worker's machine and
+  // restores it on another. Write generations are per-machine, so the
+  // restore must stamp fresh generations for node-carried frames —
   // otherwise machine B's digest cache can serve a stale digest for a (gen,
   // content) pair that machine A's history assigned to different bytes.
   Fixture a, b;
@@ -146,7 +146,8 @@ TEST(Snapshot, ForeignDeltaRestoresAcrossMachines) {
 
   // Machine A produces a state the usual way.
   ASSERT_EQ(kOk, mmu_update(a.hv, a.guest, a.guest_mfn(12), 4, 0));
-  const HvDelta delta = a.hv.snapshot_delta(root_a);
+  const HvCowState node =
+      a.hv.snapshot_cow(root_a, nullptr, root_a.mem_generation);
 
   // Machine B meanwhile took its own divergent path (bumping its private
   // write generations and populating its digest cache)...
@@ -155,8 +156,8 @@ TEST(Snapshot, ForeignDeltaRestoresAcrossMachines) {
 
   // ...and now adopts A's state. The incremental hash must agree with the
   // ground-truth full rehash, not just with the cached digests.
-  b.hv.restore_delta(root_b, delta, /*foreign=*/true);
-  EXPECT_EQ(delta.hash, b.hv.state_hash());
+  b.hv.restore_cow(root_b, node);
+  EXPECT_EQ(node.hash, b.hv.state_hash());
   EXPECT_EQ(b.hv.state_hash(), b.hv.state_hash_full());
 
   // The adopted state is behaviorally A's state: the slot A unmapped can be

@@ -1,6 +1,7 @@
 // Metrics registry (counters, histograms, snapshot/merge) and the JSONL
 // export formats.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -278,7 +279,8 @@ TEST(Jsonl, SpanLineFormat) {
 }
 
 TEST(Jsonl, WriterAppendsTypedRecords) {
-  const std::string path = ::testing::TempDir() + "jsonl_writer_test.jsonl";
+  const std::string path = ::testing::TempDir() + "jsonl_writer_test_" +
+                           std::to_string(::getpid()) + ".jsonl";
   {
     JsonlWriter writer{path};
     ASSERT_TRUE(writer.ok());
