@@ -14,7 +14,7 @@ BUILD_DIR="${1:-$REPO_ROOT/build-asan}"
 
 TESTS=(hv_recovery_test core_supervisor_test core_campaign_trace_test
        hv_mmu_update_test hv_audit_exception_test core_chaos_test
-       core_fuzz_test core_fuzz_seq_test analysis_spill_codec_test)
+       core_fuzz_test core_fuzz_seq_test hv_guest_op_test)
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

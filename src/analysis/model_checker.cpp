@@ -4,10 +4,9 @@
 // Layout of this file:
 //   - machine construction for the bounded configuration
 //   - the operation alphabet (enumerated per state, deterministic order)
-//   - operation application through the public hypercall surface
 //   - state diffing (counterexample readability)
 //   - erroneous-state classification over the shared SystemWalk
-//   - the spill-record codec and spill file
+//   - the spill record (framing hv::put_ops) and spill file
 //   - the exploration engine and its entry point
 #include "analysis/model_checker.hpp"
 
@@ -84,16 +83,16 @@ struct Machine {
 /// (self-)maps, superpage attempts, reserved-slot writes, pin/unpin and
 /// baseptr switches, and exchange with benign and hostile output pointers —
 /// the full guest-issuable surface the paper's three memory XSAs sit on.
-std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
-                              const ModelCheckConfig& config,
-                              const std::vector<hv::DomainId>& guests) {
-  using Kind = Op::Kind;
+std::vector<hv::GuestOp> enumerate_ops(
+    const hv::Hypervisor& vmm, const ModelCheckConfig& config,
+    const std::vector<hv::DomainId>& guests) {
+  using Kind = hv::GuestOp::Kind;
   constexpr std::uint64_t kP = sim::Pte::kPresent;
   constexpr std::uint64_t kW = sim::Pte::kWritable;
   constexpr std::uint64_t kU = sim::Pte::kUser;
   constexpr std::uint64_t kS = sim::Pte::kPageSize;
 
-  std::vector<Op> ops;
+  std::vector<hv::GuestOp> ops;
   for (const hv::DomainId id : guests) {
     const hv::Domain& dom = vmm.domain(id);
     if (dom.crashed()) continue;
@@ -120,15 +119,14 @@ std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
 
     const auto add_mmu = [&](const Table& t, unsigned slot, std::uint64_t val,
                              const std::string& what) {
-      Op op;
-      op.kind = Kind::MmuUpdate;
-      op.caller = id;
-      op.ptr = sim::mfn_to_paddr(t.mfn).raw() + 8ULL * slot;
-      op.val = val;
-      op.label = who + ": mmu_update L" + std::to_string(t.level) + "[mfn " +
-                 hex(t.mfn.raw()) + "][" + std::to_string(slot) + "] <- " +
-                 what;
-      ops.push_back(std::move(op));
+      ops.push_back(hv::GuestOp{
+          .kind = Kind::MmuUpdate,
+          .caller = id,
+          .addr = sim::mfn_to_paddr(t.mfn).raw() + 8ULL * slot,
+          .value = val,
+          .label = who + ": mmu_update L" + std::to_string(t.level) +
+                   "[mfn " + hex(t.mfn.raw()) + "][" + std::to_string(slot) +
+                   "] <- " + what});
     };
     const auto pte = [](sim::Mfn f, std::uint64_t flags) {
       return sim::Pte::make(f, flags).raw();
@@ -197,15 +195,13 @@ std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
     }
 
     // Pin / unpin / baseptr.
-    const auto add_ext = [&](Kind kind, sim::Mfn mfn, int level,
+    const auto add_ext = [&](Kind kind, sim::Mfn mfn, std::uint8_t level,
                              const std::string& what) {
-      Op op;
-      op.kind = kind;
-      op.caller = id;
-      op.mfn = mfn;
-      op.level = level;
-      op.label = who + ": " + what;
-      ops.push_back(std::move(op));
+      ops.push_back(hv::GuestOp{.kind = kind,
+                                .caller = id,
+                                .level = level,
+                                .mfn = mfn.raw(),
+                                .label = who + ": " + what});
     };
     if (data) {
       add_ext(Kind::Pin, *data, 1, "pin data mfn " + hex(data->raw()) + " as L1");
@@ -232,14 +228,14 @@ std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
     // memory_exchange with benign and hostile output pointers.
     if (data) {
       const auto add_exchange = [&](sim::Vaddr out, const std::string& what) {
-        Op op;
-        op.kind = Kind::Exchange;
-        op.caller = id;
-        op.pfn = hv::kFirstFreePfn;
-        op.out = out;
-        op.label = who + ": exchange pfn " +
-                   std::to_string(hv::kFirstFreePfn.raw()) + ", out = " + what;
-        ops.push_back(std::move(op));
+        ops.push_back(hv::GuestOp{
+            .kind = Kind::Exchange,
+            .caller = id,
+            .pfn = hv::kFirstFreePfn.raw(),
+            .out = out.raw(),
+            .label = who + ": exchange pfn " +
+                     std::to_string(hv::kFirstFreePfn.raw()) + ", out = " +
+                     what});
       };
       add_exchange(hv::guest_directmap_vaddr(data2_pfn), "own data page");
       add_exchange(hv::directmap_vaddr(vmm.idt_base()),
@@ -250,17 +246,15 @@ std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
 
     // Grant ops (gated: the v2->v1 downgrade leak is pre-4.13 by design).
     if (config.include_grant_ops) {
-      const auto add_grant = [&](Kind kind, unsigned version, unsigned gref,
-                                 const std::string& what) {
-        Op op;
-        op.kind = kind;
-        op.caller = id;
-        op.version = version;
-        op.gref = gref;
-        op.peer = hv::kDom0;
-        op.pfn = hv::kFirstFreePfn;
-        op.label = who + ": " + what;
-        ops.push_back(std::move(op));
+      const auto add_grant = [&](Kind kind, std::uint32_t version,
+                                 std::uint32_t gref, const std::string& what) {
+        ops.push_back(hv::GuestOp{.kind = kind,
+                                  .caller = id,
+                                  .pfn = hv::kFirstFreePfn.raw(),
+                                  .gref = gref,
+                                  .version = version,
+                                  .peer = hv::kDom0,
+                                  .label = who + ": " + what});
       };
       add_grant(Kind::GrantSetVersion, 2, 0, "grant set_version 2");
       add_grant(Kind::GrantSetVersion, 1, 0, "grant set_version 1");
@@ -269,39 +263,6 @@ std::vector<Op> enumerate_ops(const hv::Hypervisor& vmm,
     }
   }
   return ops;
-}
-
-long apply_op(hv::Hypervisor& vmm, const Op& op) {
-  using Kind = Op::Kind;
-  switch (op.kind) {
-    case Kind::MmuUpdate: {
-      const hv::MmuUpdate req{op.ptr | hv::kMmuNormalPtUpdate, op.val};
-      return vmm.hypercall_mmu_update(op.caller, std::span{&req, 1});
-    }
-    case Kind::Pin: {
-      const auto cmd = static_cast<hv::MmuExtCmd>(
-          static_cast<int>(hv::MmuExtCmd::PinL1Table) + op.level - 1);
-      return vmm.hypercall_mmuext_op(op.caller, hv::MmuExtOp{cmd, op.mfn});
-    }
-    case Kind::Unpin:
-      return vmm.hypercall_mmuext_op(
-          op.caller, hv::MmuExtOp{hv::MmuExtCmd::UnpinTable, op.mfn});
-    case Kind::NewBaseptr:
-      return vmm.hypercall_mmuext_op(
-          op.caller, hv::MmuExtOp{hv::MmuExtCmd::NewBaseptr, op.mfn});
-    case Kind::Exchange: {
-      hv::MemoryExchange exch{{op.pfn}, op.out, 0};
-      return vmm.hypercall_memory_exchange(op.caller, exch);
-    }
-    case Kind::GrantSetVersion:
-      return vmm.grants().set_version(op.caller, op.version);
-    case Kind::GrantAccess:
-      return vmm.grants().grant_access(op.caller, op.gref, op.peer, op.pfn,
-                                       /*readonly=*/false);
-    case Kind::GrantEndAccess:
-      return vmm.grants().end_access(op.caller, op.gref);
-  }
-  return hv::kEINVAL;
 }
 
 // --------------------------------------------------------------- state diff
@@ -601,126 +562,31 @@ std::string Counterexample::trace_string() const {
 // portable encoding of hypervisor-private state (DESIGN.md §16). Records are
 // read back from disk, so the decoder treats them as untrusted input.
 
-namespace {
-
-void put_u8(std::vector<std::uint8_t>& buf, std::uint8_t v) {
-  buf.push_back(v);
-}
-void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(buf, (v >> (8 * i)) & 0xff);
-}
-void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(buf, (v >> (8 * i)) & 0xff);
-}
-
-/// Bounds-checked little-endian reader: a read past the end latches
-/// `ok = false` and yields 0, so a decoder checks once per field group.
-struct SpillReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  [[nodiscard]] std::size_t remaining() const { return bytes.size() - pos; }
-  std::uint8_t u8() {
-    if (remaining() < 1) { ok = false; return 0; }
-    return bytes[pos++];
-  }
-  std::uint32_t u32() {
-    if (remaining() < 4) { ok = false; return 0; }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes[pos++]} << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    if (remaining() < 8) { ok = false; return 0; }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes[pos++]} << (8 * i);
-    return v;
-  }
-};
-
-[[noreturn]] void bad_spill_record(const std::string& why) {
-  throw std::runtime_error{"model checker: corrupt spill record: " + why};
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_spill_record(const std::vector<Op>& prefix,
-                                              std::uint64_t hash) {
+std::vector<std::uint8_t> encode_spill_record(
+    std::span<const hv::GuestOp> prefix, std::uint64_t hash) {
   std::vector<std::uint8_t> buf;
-  put_u32(buf, static_cast<std::uint32_t>(prefix.size()));
-  for (const Op& op : prefix) {
-    put_u8(buf, static_cast<std::uint8_t>(op.kind));
-    put_u8(buf, static_cast<std::uint8_t>(op.level));
-    put_u64(buf, static_cast<std::uint64_t>(op.caller));
-    put_u64(buf, op.ptr);
-    put_u64(buf, op.val);
-    put_u64(buf, op.mfn.raw());
-    put_u64(buf, op.pfn.raw());
-    put_u64(buf, op.out.raw());
-    put_u32(buf, op.gref);
-    put_u32(buf, op.version);
-    put_u64(buf, static_cast<std::uint64_t>(op.peer));
-    put_u32(buf, static_cast<std::uint32_t>(op.label.size()));
-    buf.insert(buf.end(), op.label.begin(), op.label.end());
-  }
-  put_u64(buf, hash);
+  hv::put_ops(buf, prefix);
+  hv::put_u64(buf, hash);
   return buf;
 }
 
 SpillRecord decode_spill_record(std::span<const std::uint8_t> bytes,
                                 std::size_t max_ops) {
-  SpillReader in{bytes};
+  hv::ByteReader in{bytes};
   SpillRecord rec;
-  const std::uint32_t n_ops = in.u32();
-  if (!in.ok) bad_spill_record("truncated op count");
-  if (n_ops > max_ops) {
-    bad_spill_record(std::to_string(n_ops) + " ops exceed the depth bound " +
-                     std::to_string(max_ops));
-  }
-  // Fixed bytes per op: kind, level, six u64 operands, gref, version, peer
-  // and the label length.
-  constexpr std::size_t kOpFixedBytes = 2 + 6 * 8 + 4 + 4 + 8 + 4;
-  if (n_ops > in.remaining() / kOpFixedBytes) {
-    bad_spill_record("truncated: " + std::to_string(n_ops) + " ops declared");
-  }
-  rec.prefix.reserve(n_ops);
-  for (std::uint32_t i = 0; i < n_ops; ++i) {
-    Op op;
-    const std::uint8_t kind = in.u8();
-    if (kind > static_cast<std::uint8_t>(Op::Kind::GrantEndAccess)) {
-      bad_spill_record("unknown op kind " + std::to_string(kind));
+  rec.prefix = hv::get_ops(in, max_ops);
+  for (const hv::GuestOp& op : rec.prefix) {
+    if (op.kind == hv::GuestOp::Kind::ArbitraryWrite) {
+      in.fail("arbitrary_write is not in the checker's alphabet");
     }
-    op.kind = static_cast<Op::Kind>(kind);
-    op.level = in.u8();
-    if (op.level > 4) {
-      bad_spill_record("page-table level " + std::to_string(op.level));
-    }
-    op.caller = static_cast<hv::DomainId>(in.u64());
-    op.ptr = in.u64();
-    op.val = in.u64();
-    op.mfn = sim::Mfn{in.u64()};
-    op.pfn = sim::Pfn{in.u64()};
-    op.out = sim::Vaddr{in.u64()};
-    op.gref = in.u32();
-    op.version = in.u32();
-    op.peer = static_cast<hv::DomainId>(in.u64());
-    const std::uint32_t label_len = in.u32();
-    if (!in.ok) bad_spill_record("truncated op " + std::to_string(i));
-    if (label_len > kMaxSpillLabel || label_len > in.remaining()) {
-      bad_spill_record("label of " + std::to_string(label_len) +
-                       " bytes in op " + std::to_string(i));
-    }
-    op.label.assign(bytes.begin() + static_cast<std::ptrdiff_t>(in.pos),
-                    bytes.begin() +
-                        static_cast<std::ptrdiff_t>(in.pos + label_len));
-    in.pos += label_len;
-    rec.prefix.push_back(std::move(op));
   }
   rec.hash = in.u64();
-  if (!in.ok) bad_spill_record("truncated state hash");
-  if (in.remaining() != 0) {
-    bad_spill_record(std::to_string(in.remaining()) + " trailing bytes");
+  if (in.ok() && in.remaining() != 0) {
+    in.fail(std::to_string(in.remaining()) + " trailing bytes");
+  }
+  if (!in.ok()) {
+    throw std::runtime_error{"model checker: corrupt spill record: " +
+                             in.error()};
   }
   return rec;
 }
@@ -806,11 +672,11 @@ class SpillFile {
 /// overrides), never of allocator or scheduling behavior — so chunking and
 /// spill decisions are identical at any thread count, and peak_frontier_bytes
 /// is a cmp-stable statistic.
-std::uint64_t frontier_item_cost(const std::vector<Op>& prefix,
+std::uint64_t frontier_item_cost(const std::vector<hv::GuestOp>& prefix,
                                  std::uint64_t owned_frames,
                                  std::uint64_t page_infos) {
   std::uint64_t bytes = 512;
-  for (const Op& op : prefix) bytes += 128 + op.label.size();
+  for (const hv::GuestOp& op : prefix) bytes += 128 + op.label.size();
   return bytes + owned_frames * (sim::kPageSize + 64) + page_infos * 48;
 }
 
@@ -873,7 +739,7 @@ struct ShardWorker {
 /// still drives chunking) until the worker that expands it re-derives the
 /// state by replaying the record's prefix from the root.
 struct FrontierItem {
-  std::vector<Op> prefix;
+  std::vector<hv::GuestOp> prefix;
   hv::HvCowState cow;
   std::uint64_t hash = 0;
   std::uint64_t cost = 0;  ///< frontier_item_cost at admission
@@ -889,7 +755,7 @@ struct Candidate {
   std::uint32_t parent = 0;
   std::uint32_t op = 0;
   std::uint64_t hash = 0;
-  Op op_obj;           ///< the producing op (labels the trace)
+  hv::GuestOp op_obj;  ///< the producing op (labels the trace)
   hv::HvCowState cow;  ///< clean states below the depth bound only
   bool violating = false;
   std::vector<hv::Invariant> violated;
@@ -1089,7 +955,7 @@ ModelCheckResult explore(const ModelCheckConfig& config, unsigned threads) {
             const std::uint64_t replay_marker = vmm.memory().generation();
             SpillRecord rec = decode_spill_record(
                 spill.read(item.spill_offset, item.spill_size), config.depth);
-            for (const Op& op : rec.prefix) (void)apply_op(vmm, op);
+            for (const hv::GuestOp& op : rec.prefix) (void)hv::apply(vmm, op);
             ops_executed_w[w] += rec.prefix.size();
             ++spill_reloads_w[w];
             if (rec.hash != item.hash || vmm.state_hash() != rec.hash) {
@@ -1105,14 +971,14 @@ ModelCheckResult explore(const ModelCheckConfig& config, unsigned threads) {
           // stamp fresh generations, so "written after the marker" is
           // exactly "diverged from the restored parent".
           std::uint64_t marker = vmm.memory().generation();
-          const std::vector<Op> alphabet =
+          const std::vector<hv::GuestOp> alphabet =
               enumerate_ops(vmm, config, self.machine.guests);
           lane.add_steps(alphabet.size());
           ops_executed_w[w] += alphabet.size();
           std::vector<std::uint8_t>& outcome = op_outcome[idx];
           outcome.assign(alphabet.size(), kOpUnchangedOk);
           for (std::uint32_t o = 0; o < alphabet.size(); ++o) {
-            const long rc = apply_op(vmm, alphabet[o]);
+            const long rc = hv::apply(vmm, alphabet[o]);
             const std::uint64_t h = vmm.state_hash();
             if (h == item.hash) {
               if (rc != hv::kOk) outcome[o] = kOpUnchangedFailed;
@@ -1262,7 +1128,8 @@ ModelCheckResult explore(const ModelCheckConfig& config, unsigned threads) {
       for (Candidate& c : claims) {
         // The op trace is built only for states that keep it.
         const auto trace_of = [&] {
-          std::vector<Op> trace = frontier[chunk_begin + c.parent].prefix;
+          std::vector<hv::GuestOp> trace =
+              frontier[chunk_begin + c.parent].prefix;
           trace.push_back(std::move(c.op_obj));
           return trace;
         };
@@ -1282,7 +1149,7 @@ ModelCheckResult explore(const ModelCheckConfig& config, unsigned threads) {
           continue;
         }
         if (stop || !expand_children) continue;
-        std::vector<Op> trace = trace_of();
+        std::vector<hv::GuestOp> trace = trace_of();
         FrontierItem child;
         child.hash = c.hash;
         child.cost = frontier_item_cost(trace, c.cow.owned_frames,

@@ -5,11 +5,13 @@
 // airtight; campaigns only exercise the handful of paths a use case
 // happens to drive. This checker closes that gap for small configurations:
 // starting from a freshly booted machine with one or two small PV domains,
-// it exhaustively enumerates guest-issuable operation sequences
-// (mmu_update / pin / unpin / new_baseptr / memory_exchange, optionally the
-// grant ops) up to a depth bound, driving the *real* validation engine —
+// it exhaustively enumerates guest-issuable operation sequences up to a
+// depth bound. The ops are hv::GuestOps, the type the sequence fuzzer
+// shares: mmu_update / pin / unpin / new_baseptr / memory_exchange,
+// optionally the grant ops, never the injector's arbitrary write. Each runs
+// through hv::apply into the *real* validation engine —
 // Hypervisor::validate_and_write_entry, validate_table and the frame-table
-// type transitions — and audits every reachable state against all nine
+// type transitions — and every reachable state is audited against all nine
 // InvariantAuditor invariants.
 //
 // Exploration is breadth-first over the copy-on-write snapshot forest
@@ -34,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "hv/guest_op.hpp"
 #include "hv/recovery.hpp"
 #include "hv/version.hpp"
 #include "sim/types.hpp"
@@ -124,41 +127,9 @@ inline constexpr std::size_t kErroneousStateClassCount = 5;
     const hv::Hypervisor& vmm, const hv::SystemWalk& walk,
     const hv::InvariantReport& report);
 
-/// One operation of the enumerated alphabet, self-contained so a trace can
-/// be replayed against a fresh machine of the same configuration.
-struct Op {
-  enum class Kind : std::uint8_t {
-    MmuUpdate,
-    Pin,
-    Unpin,
-    NewBaseptr,
-    Exchange,
-    GrantSetVersion,
-    GrantAccess,
-    GrantEndAccess,
-  };
-  Kind kind{};
-  hv::DomainId caller = 0;
-  // MmuUpdate: machine slot address and raw entry value.
-  std::uint64_t ptr = 0;
-  std::uint64_t val = 0;
-  // Pin (level 1..4) / Unpin / NewBaseptr.
-  sim::Mfn mfn{};
-  int level = 0;
-  // Exchange.
-  sim::Pfn pfn{};
-  sim::Vaddr out{};
-  // Grant.
-  unsigned gref = 0;
-  unsigned version = 0;
-  hv::DomainId peer = hv::kDomInvalid;
-  /// Human-readable form, e.g. "d1: mmu_update l2[0] <- 0x100e7 (PSE)".
-  std::string label;
-};
-
 /// A minimal trace into a violating state.
 struct Counterexample {
-  std::vector<Op> ops;             ///< root → violation, in order
+  std::vector<hv::GuestOp> ops;    ///< root → violation, in order
   unsigned depth = 0;              ///< == ops.size()
   std::uint64_t state_hash = 0;    ///< hash of the violating state
   hv::InvariantReport report;      ///< the failed audit, with details
@@ -219,25 +190,22 @@ struct ModelCheckResult {
 /// result, including counterexample order.
 [[nodiscard]] ModelCheckResult run_model_check(const ModelCheckConfig& config);
 
-/// Spill-record codec of the bounded frontier (DESIGN.md §16): the op
-/// prefix that re-derives a queued state by replay from the root, plus the
-/// state's expected hash, little-endian and self-delimiting.
+/// Spill record of the bounded frontier (DESIGN.md §16): the op prefix that
+/// re-derives a queued state by replay from the root (hv::put_ops), then
+/// the state's expected hash.
 [[nodiscard]] std::vector<std::uint8_t> encode_spill_record(
-    const std::vector<Op>& prefix, std::uint64_t hash);
+    std::span<const hv::GuestOp> prefix, std::uint64_t hash);
 
 struct SpillRecord {
-  std::vector<Op> prefix;
+  std::vector<hv::GuestOp> prefix;
   std::uint64_t hash = 0;
 };
 
-/// Longest op label a spill record may carry.
-inline constexpr std::size_t kMaxSpillLabel = 4096;
-
 /// Decode one record that spans exactly `bytes`. Spill files come back from
-/// disk, so the input is untrusted: throws std::runtime_error on truncation
-/// or trailing bytes, on more than `max_ops` ops (the run's depth bound), on
-/// a label longer than kMaxSpillLabel, and on an op kind or page-table level
-/// outside the alphabet. Allocation is bounded by the input's size.
+/// disk, so the input is untrusted: throws std::runtime_error on anything
+/// hv::get_ops refuses (with `max_ops`, the run's depth bound, as its
+/// bound), on an ArbitraryWrite (not in the checker's alphabet), and on
+/// truncation or trailing bytes. Allocation is bounded by the input's size.
 [[nodiscard]] SpillRecord decode_spill_record(
     std::span<const std::uint8_t> bytes, std::size_t max_ops);
 

@@ -37,21 +37,6 @@ std::string to_string(FuzzOutcome outcome) {
   return "unknown";
 }
 
-std::string to_string(FuzzOp::Kind kind) {
-  switch (kind) {
-    case FuzzOp::Kind::ArbitraryWrite: return "arbitrary_write";
-    case FuzzOp::Kind::MmuUpdate: return "mmu_update";
-    case FuzzOp::Kind::Pin: return "pin";
-    case FuzzOp::Kind::Unpin: return "unpin";
-    case FuzzOp::Kind::NewBaseptr: return "new_baseptr";
-    case FuzzOp::Kind::Exchange: return "exchange";
-    case FuzzOp::Kind::GrantSetVersion: return "grant_set_version";
-    case FuzzOp::Kind::GrantAccess: return "grant_access";
-    case FuzzOp::Kind::GrantEndAccess: return "grant_end_access";
-  }
-  return "unknown";
-}
-
 // -------------------------------------------------------------- draw helpers
 
 std::uint64_t draw_below(std::mt19937_64& rng, std::uint64_t bound) {
@@ -113,39 +98,6 @@ std::uint64_t random_pte(std::mt19937_64& rng, std::uint64_t frames) {
   return sim::Pte::make(sim::Mfn{frame}, flags).raw();
 }
 
-/// Injection target for one blind write (shared with the sequence fuzzer's
-/// ArbitraryWrite generator).
-void draw_injection(std::mt19937_64& rng, guest::VirtualPlatform& platform,
-                    FuzzTarget target, std::uint64_t* address,
-                    std::uint64_t* value) {
-  guest::GuestKernel& attacker = platform.guest(0);
-  const std::uint64_t frames = platform.memory().frame_count();
-  *value = random_pte(rng, frames);
-  switch (target) {
-    case FuzzTarget::OwnL1Slot:
-      *address = sim::mfn_to_paddr(attacker.l1_mfn(0)).raw() +
-                 draw_below(rng, sim::kPtEntries) * 8;
-      break;
-    case FuzzTarget::OwnL4Slot:
-      *address = sim::mfn_to_paddr(attacker.l4_mfn()).raw() +
-                 draw_below(rng, sim::kPtEntries) * 8;
-      break;
-    case FuzzTarget::IdtBytes:
-      *address = platform.hv().idt_base().raw() +
-                 draw_below(rng, sim::kIdtVectors * sim::Idt::kGateBytes - 8);
-      *value = rng();
-      break;
-    case FuzzTarget::XenL3Slot:
-      *address = sim::mfn_to_paddr(platform.hv().xen_l3()).raw() +
-                 draw_below(rng, sim::kPtEntries) * 8;
-      break;
-    case FuzzTarget::WildPhysical:
-      *address = draw_below(rng, platform.memory().byte_size() - 8);
-      *value = rng();
-      break;
-  }
-}
-
 /// One iteration: inject, activate, classify. The platform arrives at its
 /// boot baseline (fresh or rewound — byte-identical either way).
 FuzzOutcome run_one(const FuzzConfig& config, unsigned iteration,
@@ -192,6 +144,37 @@ FuzzOutcome run_one(const FuzzConfig& config, unsigned iteration,
 }
 
 }  // namespace
+
+void draw_injection(std::mt19937_64& rng, guest::VirtualPlatform& platform,
+                    FuzzTarget target, std::uint64_t* address,
+                    std::uint64_t* value) {
+  guest::GuestKernel& attacker = platform.guest(0);
+  const std::uint64_t frames = platform.memory().frame_count();
+  *value = random_pte(rng, frames);
+  switch (target) {
+    case FuzzTarget::OwnL1Slot:
+      *address = sim::mfn_to_paddr(attacker.l1_mfn(0)).raw() +
+                 draw_below(rng, sim::kPtEntries) * 8;
+      break;
+    case FuzzTarget::OwnL4Slot:
+      *address = sim::mfn_to_paddr(attacker.l4_mfn()).raw() +
+                 draw_below(rng, sim::kPtEntries) * 8;
+      break;
+    case FuzzTarget::IdtBytes:
+      *address = platform.hv().idt_base().raw() +
+                 draw_below(rng, sim::kIdtVectors * sim::Idt::kGateBytes - 8);
+      *value = rng();
+      break;
+    case FuzzTarget::XenL3Slot:
+      *address = sim::mfn_to_paddr(platform.hv().xen_l3()).raw() +
+                 draw_below(rng, sim::kPtEntries) * 8;
+      break;
+    case FuzzTarget::WildPhysical:
+      *address = draw_below(rng, platform.memory().byte_size() - 8);
+      *value = rng();
+      break;
+  }
+}
 
 std::string FuzzStats::render() const {
   std::ostringstream os;
@@ -259,8 +242,8 @@ std::size_t coverage_index(std::size_t context, hv::PageType frame_type,
 }
 
 std::string context_name(std::size_t context) {
-  return context < kFuzzOpKindCount
-             ? to_string(static_cast<FuzzOp::Kind>(context))
+  return context < hv::kGuestOpKindCount
+             ? hv::to_string(static_cast<hv::GuestOp::Kind>(context))
              : std::string{"activation"};
 }
 
@@ -302,115 +285,50 @@ std::string CoverageMap::render() const {
 namespace {
 
 constexpr std::uint32_t kTraceMagic = 0x5A464949;  // "IIFZ" little-endian
-constexpr std::uint8_t kTraceFormat = 1;
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-/// Bounds-checked little-endian cursor; `ok` latches false on any overrun.
-struct TraceReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (pos + 1 > bytes.size()) { ok = false; return 0; }
-    return bytes[pos++];
-  }
-  std::uint32_t u32() {
-    if (pos + 4 > bytes.size()) { ok = false; return 0; }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes[pos++]} << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    if (pos + 8 > bytes.size()) { ok = false; return 0; }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes[pos++]} << (8 * i);
-    return v;
-  }
-};
+constexpr std::uint8_t kTraceFormat = 2;
+constexpr std::size_t kMaxTraceOps = std::size_t{1} << 20;
 
 }  // namespace
 
 std::vector<std::uint8_t> serialize_trace(const CorpusEntry& entry,
                                           hv::XenVersion version) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kTraceMagic);
-  put_u8(out, kTraceFormat);
-  put_u8(out, static_cast<std::uint8_t>(version.major));
-  put_u8(out, static_cast<std::uint8_t>(version.minor));
-  put_u32(out, static_cast<std::uint32_t>(entry.ops.size()));
-  for (const FuzzOp& op : entry.ops) {
-    put_u8(out, static_cast<std::uint8_t>(op.kind));
-    put_u8(out, op.level);
-    put_u64(out, op.addr);
-    put_u64(out, op.value);
-    put_u64(out, op.mfn);
-    put_u64(out, op.pfn);
-    put_u64(out, op.out);
-    put_u32(out, op.gref);
-    put_u32(out, op.version);
-  }
-  put_u8(out, static_cast<std::uint8_t>(entry.outcome));
-  put_u32(out, static_cast<std::uint32_t>(entry.classes.size()));
+  hv::put_u32(out, kTraceMagic);
+  hv::put_u8(out, kTraceFormat);
+  hv::put_u8(out, static_cast<std::uint8_t>(version.major));
+  hv::put_u8(out, static_cast<std::uint8_t>(version.minor));
+  hv::put_ops(out, entry.ops);
+  hv::put_u8(out, static_cast<std::uint8_t>(entry.outcome));
+  hv::put_u32(out, static_cast<std::uint32_t>(entry.classes.size()));
   for (const auto c : entry.classes) {
-    put_u8(out, static_cast<std::uint8_t>(c));
+    hv::put_u8(out, static_cast<std::uint8_t>(c));
   }
-  put_u64(out, entry.state_hash);
+  hv::put_u64(out, entry.state_hash);
   return out;
 }
 
 std::optional<CorpusEntry> deserialize_trace(
     std::span<const std::uint8_t> bytes, hv::XenVersion* version) {
-  TraceReader in{bytes};
-  if (in.u32() != kTraceMagic) return std::nullopt;
-  if (in.u8() != kTraceFormat) return std::nullopt;
+  hv::ByteReader in{bytes};
+  if (in.u32() != kTraceMagic || in.u8() != kTraceFormat) return std::nullopt;
   const int major = in.u8();
   const int minor = in.u8();
-  const std::uint32_t n_ops = in.u32();
-  if (!in.ok || n_ops > (1u << 20)) return std::nullopt;
   CorpusEntry entry;
-  entry.ops.reserve(n_ops);
-  for (std::uint32_t i = 0; i < n_ops; ++i) {
-    FuzzOp op;
-    const std::uint8_t kind = in.u8();
-    if (kind >= kFuzzOpKindCount) return std::nullopt;
-    op.kind = static_cast<FuzzOp::Kind>(kind);
-    op.level = in.u8();
-    op.addr = in.u64();
-    op.value = in.u64();
-    op.mfn = in.u64();
-    op.pfn = in.u64();
-    op.out = in.u64();
-    op.gref = in.u32();
-    op.version = in.u32();
-    if (!in.ok) return std::nullopt;
-    entry.ops.push_back(op);
-  }
+  entry.ops = hv::get_ops(in, kMaxTraceOps);
   const std::uint8_t outcome = in.u8();
-  if (outcome > static_cast<std::uint8_t>(FuzzOutcome::CpuHang)) {
+  const std::uint32_t n_classes = in.u32();
+  if (!in.ok() || outcome > static_cast<std::uint8_t>(FuzzOutcome::CpuHang) ||
+      n_classes > analysis::kErroneousStateClassCount) {
     return std::nullopt;
   }
   entry.outcome = static_cast<FuzzOutcome>(outcome);
-  const std::uint32_t n_classes = in.u32();
-  if (!in.ok || n_classes > analysis::kErroneousStateClassCount) {
-    return std::nullopt;
-  }
   for (std::uint32_t i = 0; i < n_classes; ++i) {
     const std::uint8_t c = in.u8();
     if (c >= analysis::kErroneousStateClassCount) return std::nullopt;
     entry.classes.push_back(static_cast<analysis::ErroneousStateClass>(c));
   }
   entry.state_hash = in.u64();
-  if (!in.ok || in.pos != bytes.size()) return std::nullopt;
+  if (!in.ok() || in.remaining() != 0) return std::nullopt;
   if (version != nullptr) *version = hv::XenVersion{major, minor};
   return entry;
 }
@@ -458,7 +376,7 @@ namespace {
 class MapHook final : public hv::CoverageHook {
  public:
   CoverageMap* map = nullptr;
-  std::size_t context = kFuzzOpKindCount;
+  std::size_t context = hv::kGuestOpKindCount;
   unsigned fresh = 0;
 
   void on_branch(hv::ValidationBranch branch,
@@ -467,53 +385,6 @@ class MapHook final : public hv::CoverageHook {
   }
 };
 
-/// Apply one FuzzOp through the real guest-facing interfaces — the same
-/// dispatch the model checker uses, plus the injector hypercall.
-long apply_fuzz_op(guest::VirtualPlatform& platform, const FuzzOp& op) {
-  using Kind = FuzzOp::Kind;
-  hv::Hypervisor& vmm = platform.hv();
-  guest::GuestKernel& attacker = platform.guest(0);
-  const hv::DomainId caller = attacker.id();
-  switch (op.kind) {
-    case Kind::ArbitraryWrite: {
-      ArbitraryAccessInjector injector{attacker};
-      if (injector.write_u64(op.addr, op.value, AddressMode::Physical)) {
-        return hv::kOk;
-      }
-      const long rc = injector.last_rc();
-      return rc != hv::kOk ? rc : hv::kEINVAL;
-    }
-    case Kind::MmuUpdate: {
-      const hv::MmuUpdate req{op.addr | hv::kMmuNormalPtUpdate, op.value};
-      return vmm.hypercall_mmu_update(caller, std::span{&req, 1});
-    }
-    case Kind::Pin: {
-      const auto cmd = static_cast<hv::MmuExtCmd>(
-          static_cast<int>(hv::MmuExtCmd::PinL1Table) + op.level - 1);
-      return vmm.hypercall_mmuext_op(caller,
-                                     hv::MmuExtOp{cmd, sim::Mfn{op.mfn}});
-    }
-    case Kind::Unpin:
-      return vmm.hypercall_mmuext_op(
-          caller, hv::MmuExtOp{hv::MmuExtCmd::UnpinTable, sim::Mfn{op.mfn}});
-    case Kind::NewBaseptr:
-      return vmm.hypercall_mmuext_op(
-          caller, hv::MmuExtOp{hv::MmuExtCmd::NewBaseptr, sim::Mfn{op.mfn}});
-    case Kind::Exchange: {
-      hv::MemoryExchange exch{{sim::Pfn{op.pfn}}, sim::Vaddr{op.out}, 0};
-      return vmm.hypercall_memory_exchange(caller, exch);
-    }
-    case Kind::GrantSetVersion:
-      return vmm.grants().set_version(caller, op.version);
-    case Kind::GrantAccess:
-      return vmm.grants().grant_access(caller, op.gref, hv::kDom0,
-                                       sim::Pfn{op.pfn}, /*readonly=*/false);
-    case Kind::GrantEndAccess:
-      return vmm.grants().end_access(caller, op.gref);
-  }
-  return hv::kEINVAL;
-}
-
 /// Execute `ops` then the activation workload on a platform that is at its
 /// boot baseline, recording coverage into `map` (when given) and
 /// classifying what is left. The activation workload is deliberately
@@ -521,7 +392,8 @@ long apply_fuzz_op(guest::VirtualPlatform& platform, const FuzzOp& op) {
 /// bit-for-bit, so everything the execution does is a pure function of the
 /// ops and the boot layout.
 TraceResult execute_trace(guest::VirtualPlatform& platform,
-                          std::span<const FuzzOp> ops, CoverageMap* map) {
+                          std::span<const hv::GuestOp> ops,
+                          CoverageMap* map) {
   MapHook hook;
   hook.map = map;
   hv::Hypervisor& vmm = platform.hv();
@@ -529,16 +401,16 @@ TraceResult execute_trace(guest::VirtualPlatform& platform,
   guest::GuestKernel& attacker = platform.guest(0);
 
   TraceResult result;
-  for (const FuzzOp& op : ops) {
+  for (const hv::GuestOp& op : ops) {
     hook.context = static_cast<std::size_t>(op.kind);
-    const long rc = apply_fuzz_op(platform, op);
+    const long rc = hv::apply(vmm, op);
     ++result.ops_executed;
     if (rc != hv::kOk) ++result.ops_refused;
     if (vmm.crashed() || vmm.cpu_hung()) break;
   }
 
   if (!vmm.crashed() && !vmm.cpu_hung()) {
-    hook.context = kFuzzOpKindCount;
+    hook.context = hv::kGuestOpKindCount;
     std::array<std::uint8_t, 8> buf{};
     for (unsigned i = 0; i < 4; ++i) {
       const sim::Pfn pfn{guest::kFirstFreePfn.raw() + i};
@@ -576,10 +448,10 @@ TraceResult execute_trace(guest::VirtualPlatform& platform,
 
 // --------------------------------------------------------- trace generation
 
-FuzzOp random_op_of_kind(std::mt19937_64& rng,
-                         guest::VirtualPlatform& platform,
-                         FuzzOp::Kind kind) {
-  using Kind = FuzzOp::Kind;
+hv::GuestOp random_op_of_kind(std::mt19937_64& rng,
+                              guest::VirtualPlatform& platform,
+                              hv::GuestOp::Kind kind) {
+  using Kind = hv::GuestOp::Kind;
   guest::GuestKernel& attacker = platform.guest(0);
   const std::uint64_t frames = platform.memory().frame_count();
   // The attacker's own table frames: the targets the validation engine has
@@ -587,8 +459,8 @@ FuzzOp random_op_of_kind(std::mt19937_64& rng,
   const std::array<std::uint64_t, 3> tables{attacker.l1_mfn(0).raw(),
                                             attacker.l2_mfn().raw(),
                                             attacker.l4_mfn().raw()};
-  FuzzOp op;
-  op.kind = kind;
+  hv::GuestOp op{
+      .kind = kind, .caller = attacker.id(), .peer = hv::kDom0, .label = {}};
   switch (kind) {
     case Kind::ArbitraryWrite: {
       const auto target =
@@ -667,17 +539,18 @@ FuzzOp random_op_of_kind(std::mt19937_64& rng,
   return op;
 }
 
-FuzzOp random_op(std::mt19937_64& rng, guest::VirtualPlatform& platform) {
+hv::GuestOp random_op(std::mt19937_64& rng,
+                      guest::VirtualPlatform& platform) {
   return random_op_of_kind(
       rng, platform,
-      static_cast<FuzzOp::Kind>(draw_below(rng, kFuzzOpKindCount)));
+      static_cast<hv::GuestOp::Kind>(draw_below(rng, hv::kGuestOpKindCount)));
 }
 
-std::vector<FuzzOp> random_trace(std::mt19937_64& rng,
-                                 guest::VirtualPlatform& platform,
-                                 unsigned max_ops) {
+std::vector<hv::GuestOp> random_trace(std::mt19937_64& rng,
+                                      guest::VirtualPlatform& platform,
+                                      unsigned max_ops) {
   const std::uint64_t n = 1 + draw_below(rng, std::max(1u, max_ops));
-  std::vector<FuzzOp> ops;
+  std::vector<hv::GuestOp> ops;
   ops.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) ops.push_back(random_op(rng, platform));
   return ops;
@@ -712,8 +585,8 @@ std::vector<std::uint64_t> interesting_mfns(guest::VirtualPlatform& platform) {
 /// Structured operand tweak — the dictionary mutator. Flag flips, ±1
 /// slides and interesting-frame retargets, applied in place to one op.
 void tweak_op(std::mt19937_64& rng, guest::VirtualPlatform& platform,
-              FuzzOp& op) {
-  using Kind = FuzzOp::Kind;
+              hv::GuestOp& op) {
+  using Kind = hv::GuestOp::Kind;
   const std::vector<std::uint64_t> pool = interesting_mfns(platform);
   const auto pick = [&]() { return pool[draw_below(rng, pool.size())]; };
   switch (op.kind) {
@@ -783,11 +656,11 @@ void tweak_op(std::mt19937_64& rng, guest::VirtualPlatform& platform,
   }
 }
 
-std::vector<FuzzOp> mutate_trace(std::mt19937_64& rng,
-                                 guest::VirtualPlatform& platform,
-                                 std::vector<FuzzOp> ops,
-                                 const std::vector<ScoredEntry>& corpus,
-                                 unsigned max_ops) {
+std::vector<hv::GuestOp> mutate_trace(std::mt19937_64& rng,
+                                      guest::VirtualPlatform& platform,
+                                      std::vector<hv::GuestOp> ops,
+                                      const std::vector<ScoredEntry>& corpus,
+                                      unsigned max_ops) {
   const std::uint64_t limit = std::uint64_t{2} * std::max(1u, max_ops);
   // Stack one or two mutation steps, biased heavily towards *extension*:
   // a corpus entry earned its place by driving the validation engine
@@ -831,7 +704,7 @@ std::vector<FuzzOp> mutate_trace(std::mt19937_64& rng,
       }
       case 8: {  // splice: our prefix + another corpus entry's suffix
         if (!corpus.empty()) {
-          const std::vector<FuzzOp>& other =
+          const std::vector<hv::GuestOp>& other =
               corpus[draw_below(rng, corpus.size())].entry.ops;
           if (!other.empty()) {
             const std::size_t keep = 1 + draw_below(rng, ops.size());
@@ -871,9 +744,9 @@ bool same_signature(const TraceResult& result, FuzzOutcome outcome,
 /// single ops) as long as the signature survives, to a fixpoint or the
 /// execution budget. The coverage map is deliberately detached: probe
 /// executions must not pollute the feedback signal.
-std::vector<FuzzOp> minimize_trace_impl(
+std::vector<hv::GuestOp> minimize_trace_impl(
     guest::VirtualPlatform& platform, const guest::PlatformBaseline& baseline,
-    std::vector<FuzzOp> ops, FuzzOutcome outcome,
+    std::vector<hv::GuestOp> ops, FuzzOutcome outcome,
     const std::vector<analysis::ErroneousStateClass>& classes,
     unsigned budget, unsigned* execs) {
   bool shrunk = true;
@@ -883,7 +756,7 @@ std::vector<FuzzOp> minimize_trace_impl(
       std::size_t start = 0;
       while (start < ops.size() && ops.size() > 1) {
         if (*execs >= budget) return ops;
-        std::vector<FuzzOp> candidate;
+        std::vector<hv::GuestOp> candidate;
         candidate.reserve(ops.size());
         candidate.insert(candidate.end(), ops.begin(),
                          ops.begin() + static_cast<std::ptrdiff_t>(start));
@@ -917,7 +790,7 @@ std::vector<FuzzOp> minimize_trace_impl(
 // ------------------------------------------------------------ entry points
 
 TraceResult replay_trace(const SeqFuzzConfig& config,
-                         std::span<const FuzzOp> ops, CoverageMap* map) {
+                         std::span<const hv::GuestOp> ops, CoverageMap* map) {
   guest::PlatformConfig pc = config.platform;
   pc.version = config.version;
   pc.injector_enabled = true;
@@ -1004,7 +877,7 @@ SeqFuzzStats run_sequence_fuzzer(const SeqFuzzConfig& config) {
     // Schedule: guided mode spends 3/4 of its budget mutating the corpus
     // entry with the best recent coverage yield; blind mode (and an empty
     // corpus) always draws a fresh trace.
-    std::vector<FuzzOp> ops;
+    std::vector<hv::GuestOp> ops;
     std::size_t picked = corpus.size();  // sentinel: fresh trace
     if (config.guided && !corpus.empty() && draw_below(rng, 4) < 3) {
       std::uint64_t total = 0;
@@ -1071,7 +944,7 @@ SeqFuzzStats run_sequence_fuzzer(const SeqFuzzConfig& config) {
       Survivor survivor;
       survivor.found_iteration = i;
       survivor.raw_ops = static_cast<unsigned>(ops.size());
-      std::vector<FuzzOp> min_ops = ops;
+      std::vector<hv::GuestOp> min_ops = ops;
       std::uint64_t entry_hash = result.state_hash;
       if (config.minimize) {
         obs::ScopedSpan min_span{config.profiler, obs::kSpanFuzzMinimize};

@@ -12,9 +12,10 @@
 //    write-what-where erroneous state through the arbitrary-access injector
 //    and classifies what the system did with it. No feedback, no memory.
 //
-//  - run_sequence_fuzzer: the coverage-guided engine (ROADMAP item 2,
-//    DESIGN.md §17). Iterations execute *hypercall traces* — sequences of
-//    FuzzOps spanning the whole guest-issuable surface plus the injector —
+//  - run_sequence_fuzzer: the coverage-guided engine (DESIGN.md §17).
+//    Iterations execute *hypercall traces* — sequences of hv::GuestOps, the
+//    model checker's op type, spanning the whole guest-issuable surface plus
+//    the injector's write, applied through the one dispatcher hv::apply —
 //    against a warm platform (delta-rewound between runs, O(dirty)).
 //    A CoverageMap keyed on (op kind × frame type × validation branch)
 //    is fed by a hv::CoverageHook planted in the validation engine; traces
@@ -23,9 +24,9 @@
 //    recently. Traces that end in an erroneous state survive: they are
 //    shrunk by a delta-debugging minimizer, classified against the model
 //    checker's erroneous-state families, and flagged as *novel* when the
-//    four XSA scenarios do not cover them. Corpus traces serialize to
-//    self-delimiting records (same idiom as the checker's spill file) and
-//    replay byte-identically.
+//    four XSA scenarios do not cover them. Corpus traces serialize to IIFZ
+//    files (format 2) that frame the same op records as the checker's spill
+//    file, and replay byte-identically.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,7 @@
 #include "analysis/model_checker.hpp"
 #include "guest/platform.hpp"
 #include "hv/coverage.hpp"
+#include "hv/guest_op.hpp"
 
 namespace ii::obs {
 class MetricsRegistry;  // obs/metrics.hpp
@@ -83,6 +85,13 @@ inline constexpr std::size_t kFuzzTargetCount = 5;
 /// modulo carries bias for any bound that does not divide the engine range.
 [[nodiscard]] std::uint64_t draw_below(std::mt19937_64& rng,
                                        std::uint64_t bound);
+
+/// A write-what-where injection into `target` on `platform`: the machine
+/// byte address and the 8-byte value the blind campaign (and the sequence
+/// fuzzer's ArbitraryWrite generator) injects.
+void draw_injection(std::mt19937_64& rng, guest::VirtualPlatform& platform,
+                    FuzzTarget target, std::uint64_t* address,
+                    std::uint64_t* value);
 
 /// Per-iteration engine over the full 64-bit campaign seed: splitmix64
 /// decorrelation first, then a seed_seq over all four 32-bit words. All 64
@@ -129,42 +138,9 @@ struct FuzzStats {
 
 // ------------------------------------------------------- sequence fuzzer
 
-/// One operation of a fuzz trace: the model checker's guest-issuable
-/// alphabet plus the injector's write-what-where. Self-contained (absolute
-/// addresses/frames against the deterministic boot layout) so any trace
-/// replays against a fresh platform of the same configuration.
-struct FuzzOp {
-  enum class Kind : std::uint8_t {
-    ArbitraryWrite,   ///< injector write (addr = machine byte address)
-    MmuUpdate,        ///< validated PTE write (addr = slot machine address)
-    Pin,              ///< pin mfn as an L<level> table
-    Unpin,
-    NewBaseptr,
-    Exchange,         ///< trade pfn, replacement MFN written to out
-    GrantSetVersion,
-    GrantAccess,
-    GrantEndAccess,
-  };
-  Kind kind = Kind::ArbitraryWrite;
-  std::uint8_t level = 0;     ///< Pin: table level 1..4
-  std::uint64_t addr = 0;     ///< ArbitraryWrite/MmuUpdate target
-  std::uint64_t value = 0;    ///< written value / raw PTE
-  std::uint64_t mfn = 0;      ///< Pin/Unpin/NewBaseptr frame
-  std::uint64_t pfn = 0;      ///< Exchange in-extent / GrantAccess page
-  std::uint64_t out = 0;      ///< Exchange output pointer (guest VA)
-  std::uint32_t gref = 0;     ///< grant reference
-  std::uint32_t version = 0;  ///< GrantSetVersion argument
-
-  friend bool operator==(const FuzzOp&, const FuzzOp&) = default;
-};
-
-inline constexpr std::size_t kFuzzOpKindCount = 9;
-
-[[nodiscard]] std::string to_string(FuzzOp::Kind kind);
-
 /// Coverage contexts: one per op kind, plus one for the activation workload
 /// that runs after the trace (reads, faults, interrupts, event loop).
-inline constexpr std::size_t kCoverageContexts = kFuzzOpKindCount + 1;
+inline constexpr std::size_t kCoverageContexts = hv::kGuestOpKindCount + 1;
 
 /// Dense (op kind × frame type × validation branch) bitmap. record()
 /// reports whether the triple was new — the fuzzer's feedback bit.
@@ -204,7 +180,7 @@ struct TraceResult {
 /// A replayable corpus record: the trace plus the result its recording run
 /// observed (replay asserts it reproduces).
 struct CorpusEntry {
-  std::vector<FuzzOp> ops;
+  std::vector<hv::GuestOp> ops;
   FuzzOutcome outcome = FuzzOutcome::NoObservableEffect;
   std::vector<analysis::ErroneousStateClass> classes;
   std::uint64_t state_hash = 0;
@@ -212,11 +188,13 @@ struct CorpusEntry {
   friend bool operator==(const CorpusEntry&, const CorpusEntry&) = default;
 };
 
-/// Self-delimiting little-endian serialization (the model checker's
-/// spill-record idiom): fixed header, op records, recorded result.
+/// IIFZ format 2, little-endian: magic, format, Xen version, the op
+/// sequence (hv::put_ops, the checker's spill-record ops), then the recorded
+/// outcome, classes and state hash.
 [[nodiscard]] std::vector<std::uint8_t> serialize_trace(
     const CorpusEntry& entry, hv::XenVersion version);
-/// Parse; nullopt on a short, malformed or wrong-magic buffer.
+/// Parse; nullopt on a short, malformed, wrong-magic or other-format buffer
+/// and on any op hv::get_ops refuses.
 [[nodiscard]] std::optional<CorpusEntry> deserialize_trace(
     std::span<const std::uint8_t> bytes, hv::XenVersion* version = nullptr);
 
@@ -297,7 +275,7 @@ struct SeqFuzzStats {
 /// path: replaying a recorded CorpusEntry's ops must reproduce its recorded
 /// outcome/classes/state_hash exactly.
 [[nodiscard]] TraceResult replay_trace(const SeqFuzzConfig& config,
-                                       std::span<const FuzzOp> ops,
+                                       std::span<const hv::GuestOp> ops,
                                        CoverageMap* map = nullptr);
 
 }  // namespace ii::core

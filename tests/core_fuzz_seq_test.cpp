@@ -1,6 +1,7 @@
-// The coverage-guided hypercall-sequence fuzzer (DESIGN.md §17): trace
-// serialization, replay byte-identity, the delta-debugging minimizer, the
-// guided-vs-blind coverage claim, and the draw helpers' exact streams.
+// The coverage-guided hypercall-sequence fuzzer (DESIGN.md §17): replay
+// byte-identity, the delta-debugging minimizer, the guided-vs-blind
+// coverage claim, and the draw helpers' exact streams. The IIFZ trace codec
+// is tested with the spill record in hv_guest_op_test.cpp.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -26,25 +27,6 @@ SeqFuzzConfig small_config(std::uint64_t seed, unsigned iterations) {
   config.platform.dom0_pages = 128;
   config.platform.guest_pages = 64;
   return config;
-}
-
-/// One op of every kind, operands chosen to exercise every serialized field.
-std::vector<FuzzOp> all_kinds_trace() {
-  std::vector<FuzzOp> ops;
-  for (std::size_t k = 0; k < kFuzzOpKindCount; ++k) {
-    FuzzOp op;
-    op.kind = static_cast<FuzzOp::Kind>(k);
-    op.level = static_cast<std::uint8_t>(1 + k % 4);
-    op.addr = 0x1000ULL * (k + 1) + (1ULL << 40);
-    op.value = ~(0x1111ULL * k);
-    op.mfn = 100 + k;
-    op.pfn = 200 + k;
-    op.out = 0xFFFF880000000000ULL + 0x1000 * k;
-    op.gref = static_cast<std::uint32_t>(k);
-    op.version = static_cast<std::uint32_t>(1 + k % 2);
-    ops.push_back(op);
-  }
-  return ops;
 }
 
 // ------------------------------------------------------------ draw helpers
@@ -97,66 +79,6 @@ TEST(RngFor, IterationAndHighSeedBitsDecorrelate) {
   EXPECT_EQ(rng_for(42, 0)(), 15544500182996699136ULL);
   EXPECT_EQ(rng_for(42, 1)(), 11496161038444431290ULL);
   EXPECT_EQ(rng_for(42 | (1ULL << 32), 0)(), 6548432123641621431ULL);
-}
-
-// ---------------------------------------------------------- serialization
-
-TEST(TraceSerialization, RoundTripsEveryKindAndVersion) {
-  CorpusEntry entry;
-  entry.ops = all_kinds_trace();
-  entry.outcome = FuzzOutcome::IsolationViolation;
-  entry.classes = {analysis::ErroneousStateClass::Xsa182WritableSelfMap,
-                   analysis::ErroneousStateClass::Other};
-  entry.state_hash = 0xDEADBEEFCAFE1234ULL;
-
-  for (const hv::XenVersion version : {hv::kXen46, hv::kXen48, hv::kXen413}) {
-    const std::vector<std::uint8_t> bytes = serialize_trace(entry, version);
-    hv::XenVersion got_version{};
-    const auto got = deserialize_trace(bytes, &got_version);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, entry);
-    EXPECT_EQ(got_version.major, version.major);
-    EXPECT_EQ(got_version.minor, version.minor);
-  }
-}
-
-TEST(TraceSerialization, RejectsCorruption) {
-  CorpusEntry entry;
-  entry.ops = all_kinds_trace();
-  const std::vector<std::uint8_t> bytes = serialize_trace(entry, hv::kXen46);
-
-  EXPECT_FALSE(deserialize_trace({}).has_value());
-  // Every truncation point must be rejected, never read out of bounds.
-  for (std::size_t n = 0; n < bytes.size(); ++n) {
-    EXPECT_FALSE(
-        deserialize_trace(std::span{bytes.data(), n}).has_value())
-        << "accepted a " << n << "-byte prefix";
-  }
-  std::vector<std::uint8_t> bad_magic = bytes;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(deserialize_trace(bad_magic).has_value());
-  std::vector<std::uint8_t> trailing = bytes;
-  trailing.push_back(0);
-  EXPECT_FALSE(deserialize_trace(trailing).has_value());
-}
-
-TEST(TraceSerialization, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("ii_fuzz_seq_rt_" + std::to_string(::getpid()) + ".trace"))
-          .string();
-  CorpusEntry entry;
-  entry.ops = all_kinds_trace();
-  entry.outcome = FuzzOutcome::DetectedByAudit;
-  entry.state_hash = 42;
-  ASSERT_TRUE(store_trace_file(path, entry, hv::kXen48));
-  hv::XenVersion version{};
-  const auto got = load_trace_file(path, &version);
-  std::filesystem::remove(path);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, entry);
-  EXPECT_EQ(version.major, 4);
-  EXPECT_EQ(version.minor, 8);
 }
 
 // ------------------------------------------------------------- the fuzzer
