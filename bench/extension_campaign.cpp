@@ -10,8 +10,8 @@
 // paper capability (ii): assessment with NO public exploit available.
 #include <cstdio>
 
-#include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "core/supervisor.hpp"
 #include "xsa/usecases.hpp"
 
 int main() {
@@ -23,8 +23,8 @@ int main() {
 
   core::CampaignConfig config{};
   config.modes = {core::Mode::Exploit, core::Mode::Injection};
-  const core::Campaign campaign{config};
-  const auto results = campaign.run(cases);
+  const auto results =
+      core::CampaignSupervisor{config, {}}.run(&xsa::make_extension_use_cases);
 
   std::puts("\nper-cell results:");
   for (const auto& cell : results) {

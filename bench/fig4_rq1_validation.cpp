@@ -10,19 +10,19 @@
 #include <cstdio>
 
 #include "core/report.hpp"
+#include "core/supervisor.hpp"
 #include "xsa/usecases.hpp"
 
 int main() {
-  const auto cases = ii::xsa::make_paper_use_cases();
   ii::core::CampaignConfig config{};  // all versions, both modes
-  const ii::core::Campaign campaign{config};
-  const auto results = campaign.run(cases);
+  const auto results = ii::core::CampaignSupervisor{config, {}}.run(
+      &ii::xsa::make_paper_use_cases);
 
   std::puts("== RQ1: exploit vs injection on vulnerable Xen 4.6 ============");
   std::fputs(ii::core::render_rq1_table(results).c_str(), stdout);
 
   std::puts("\n== Erroneous-state equivalence audit (the §VI-C check) ======");
-  for (const auto& use_case : cases) {
+  for (const auto& use_case : ii::xsa::make_paper_use_cases()) {
     ii::guest::PlatformConfig exploit_pc{};
     exploit_pc.version = ii::hv::kXen46;
     exploit_pc.injector_enabled = false;

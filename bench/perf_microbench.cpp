@@ -220,45 +220,39 @@ void bench_campaign_cell_injection() {
       "campaign_cell_injection", 20,
       [&] {
         auto cell = campaign.run_cell(*cases[0], hv::kXen413,
-                                      core::Mode::Injection, pool);
+                                      core::Mode::Injection, pool, nullptr);
         do_not_optimize(cell);
       },
       /*warmup=*/2);
 }
 
 /// Warm vs cold cell setup (DESIGN.md §10): the same use-case cell leased
-/// from a persistent pool (delta-restored baseline) vs booted from scratch
-/// every iteration (reuse_platforms off). The ratio is the campaign-side
-/// payoff of dirty-frame tracking.
+/// from a persistent pool (delta-restored baseline) vs run through the
+/// one-shot run_cell, which boots a fresh pool, captures its baseline and
+/// rewinds once per cell. The ratio is the campaign-side payoff of
+/// dirty-frame tracking.
 void bench_campaign_cell_warm_vs_cold() {
   const auto cases = xsa::make_paper_use_cases();
   core::CampaignConfig config{};
   config.platform = bench_config(hv::kXen413);
-  {
-    const core::Campaign campaign{config};
-    core::PlatformPool pool;
-    run_bench(
-        "campaign_cell_warm", 50,
-        [&] {
-          auto cell = campaign.run_cell(*cases[0], hv::kXen413,
-                                        core::Mode::Injection, pool);
-          do_not_optimize(cell);
-        },
-        /*warmup=*/2);
-  }
-  {
-    auto cold_config = config;
-    cold_config.reuse_platforms = false;
-    const core::Campaign campaign{cold_config};
-    run_bench(
-        "campaign_cell_cold", 20,
-        [&] {
-          auto cell = campaign.run_cell(*cases[0], hv::kXen413,
-                                        core::Mode::Injection);
-          do_not_optimize(cell);
-        },
-        /*warmup=*/2);
-  }
+  const core::Campaign campaign{config};
+  core::PlatformPool pool;
+  run_bench(
+      "campaign_cell_warm", 50,
+      [&] {
+        auto cell = campaign.run_cell(*cases[0], hv::kXen413,
+                                      core::Mode::Injection, pool, nullptr);
+        do_not_optimize(cell);
+      },
+      /*warmup=*/2);
+  run_bench(
+      "campaign_cell_cold", 20,
+      [&] {
+        auto cell = campaign.run_cell(*cases[0], hv::kXen413,
+                                      core::Mode::Injection);
+        do_not_optimize(cell);
+      },
+      /*warmup=*/2);
 }
 
 /// Incremental vs full state hashing over a lightly-dirtied machine: the
@@ -350,14 +344,13 @@ void bench_profiler_attached() {
     obs::SpanProfiler prof;
     core::CampaignConfig config{};
     config.platform = bench_config(hv::kXen413);
-    config.profiler = &prof;
     const core::Campaign campaign{config};
     core::PlatformPool pool;
     run_bench(
         "campaign_cell_warm_profiled", 50,
         [&] {
           auto cell = campaign.run_cell(*cases[0], hv::kXen413,
-                                        core::Mode::Injection, pool);
+                                        core::Mode::Injection, pool, &prof);
           do_not_optimize(cell);
         },
         /*warmup=*/2);

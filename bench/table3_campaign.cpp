@@ -9,15 +9,15 @@
 #include <cstdio>
 
 #include "core/report.hpp"
+#include "core/supervisor.hpp"
 #include "xsa/usecases.hpp"
 
 int main() {
-  const auto cases = ii::xsa::make_paper_use_cases();
   ii::core::CampaignConfig config{};
   config.versions = {ii::hv::kXen48, ii::hv::kXen413};
   config.modes = {ii::core::Mode::Injection};
-  const ii::core::Campaign campaign{config};
-  const auto results = campaign.run(cases);
+  const auto results = ii::core::CampaignSupervisor{config, {}}.run(
+      &ii::xsa::make_paper_use_cases);
 
   std::puts("== Table III ===================================================");
   std::fputs(ii::core::render_table3(results).c_str(), stdout);

@@ -26,6 +26,10 @@
 // killed run picks up where it left off and reproduces the identical
 // report (byte-identical CSV with --deterministic).
 //
+// --deterministic makes every output byte-identical across runs and
+// --threads: it reports trace-event counts instead of wall time and drops
+// the schedule-dependent cell.reuse_hits counter from the aggregate.
+//
 // Telemetry (DESIGN.md §13):
 //   --profile       print the deterministic span profile — per-cell
 //                   acquire/restore/inject/monitor/recover work plus the
@@ -414,10 +418,14 @@ int main(int argc, char** argv) {
   }
   if (!write_chaos_log()) return 1;
 
-  // Campaign-wide aggregate: the deterministic merge of every cell's
-  // metrics snapshot, in cell order.
+  // Campaign-wide aggregate: the merge of every cell's metrics snapshot,
+  // in cell order. cell.reuse_hits depends on which worker ran which use
+  // case, so the deterministic output leaves it out.
   obs::MetricsRegistry aggregate;
-  for (const auto& cell : results) aggregate.merge(cell.metrics);
+  for (auto& cell : results) {
+    if (config.logical_time) cell.metrics.counters.erase("cell.reuse_hits");
+    aggregate.merge(cell.metrics);
+  }
   {
     // Publish the final aggregate to the status server's /metrics (it keeps
     // serving through --status-hold).

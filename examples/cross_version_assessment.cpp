@@ -9,18 +9,17 @@
 // working exploit for the version under test.
 #include <cstdio>
 
-#include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "core/supervisor.hpp"
 #include "xsa/usecases.hpp"
 
 int main() {
   using namespace ii;
 
-  const auto cases = xsa::make_paper_use_cases();
   core::CampaignConfig config{};
   config.modes = {core::Mode::Injection};  // no exploits needed
-  const core::Campaign campaign{config};
-  const auto results = campaign.run(cases);
+  const auto results =
+      core::CampaignSupervisor{config, {}}.run(&xsa::make_paper_use_cases);
 
   std::puts("== Injection campaign across releases =========================");
   for (const hv::XenVersion version : config.versions) {

@@ -8,8 +8,8 @@
 // through the injector and scores what each release handled.
 #include <cstdio>
 
-#include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "core/supervisor.hpp"
 #include "xsa/usecases.hpp"
 
 int main() {
@@ -17,15 +17,18 @@ int main() {
 
   // The full catalogue: the paper's four memory-corruption models plus the
   // three extension models.
-  auto cases = xsa::make_paper_use_cases();
-  for (auto& extension : xsa::make_extension_use_cases()) {
-    cases.push_back(std::move(extension));
-  }
+  const auto catalogue = [] {
+    auto cases = xsa::make_paper_use_cases();
+    for (auto& extension : xsa::make_extension_use_cases()) {
+      cases.push_back(std::move(extension));
+    }
+    return cases;
+  };
+  const auto cases = catalogue();
 
   core::CampaignConfig config{};
   config.modes = {core::Mode::Injection};
-  const core::Campaign campaign{config};
-  const auto results = campaign.run(cases);
+  const auto results = core::CampaignSupervisor{config, {}}.run(catalogue);
 
   std::puts("== Tenant-isolation assessment (injection only) ===============");
   std::puts("model catalogue:");

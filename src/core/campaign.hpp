@@ -1,16 +1,17 @@
 // Campaign engine: runs use cases across Xen versions and collects the
 // per-cell verdicts that make up the paper's tables.
 //
-// One cell = (use case, version, mode). Each cell runs on a platform at
-// its boot baseline — by default a pooled platform delta-restored there
-// (CampaignConfig::reuse_platforms), otherwise a freshly booted one — the
-// attempt is executed, and the monitor/auditor decide:
+// One cell = (use case, version, mode). Each cell runs on a pooled platform
+// delta-restored to its boot baseline, the attempt is executed, and the
+// monitor/auditor decide:
 //   err_state  — the erroneous state is observably present afterwards;
 //   violation  — the use case's security violation materialized;
 //   handled    — err_state && !violation (Table III's shield cells).
+//
+// Campaign runs one cell; CampaignSupervisor (supervisor.hpp) runs the
+// matrix.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -46,12 +47,13 @@ struct CellResult {
   std::uint64_t hypercalls = 0;  ///< HypercallEnter events during the cell
   /// Per-cell observability snapshot (trace/hypercall counters). The cell's
   /// sink starts at seq 0, so metrics and trace depend only on the cell's
-  /// own execution — identical under run() and run_parallel().
+  /// own execution — except cell.reuse_hits, which records whether the
+  /// leased platform had already run a cell.
   obs::MetricsSnapshot metrics;
   /// Captured ring contents, only when CampaignConfig::capture_trace.
   std::vector<obs::TraceEvent> trace;
   /// Execution attempts the supervisor made for this cell (0 when the cell
-  /// was quarantined without running, 1 for a plain Campaign::run).
+  /// was quarantined without running, 1 for a plain run_cell).
   unsigned attempts = 1;
   /// ReHype recovery ran after a failure/crash and its post-audit was clean.
   bool recovered = false;
@@ -86,41 +88,29 @@ struct CampaignConfig {
   /// post-recovery invariant audit came back clean (CellResult::recovered).
   bool attempt_recovery = false;
   /// Deterministic per-cell watchdog: fail the cell once it emits more than
-  /// this many HypercallEnter events (0 = unlimited). With reuse_platforms
-  /// the budget covers exactly the cell's own execution; without it, the
-  /// whole cell including platform boot.
+  /// this many HypercallEnter events (0 = unlimited). The budget covers
+  /// exactly the cell's own execution, never the platform boot.
   std::uint64_t max_cell_hypercalls = 0;
   /// Same watchdog over total trace steps (0 = unlimited).
   std::uint64_t max_cell_steps = 0;
-  /// Keep one warm platform per (version, mode), snapshotted once and
-  /// delta-restored to its boot baseline before every cell instead of
-  /// re-booting from scratch. The per-cell trace sink is attached only
-  /// after the rewind, so a cell's trace, counters and budget accounting
-  /// cover exactly its own execution — identical whether the platform was
-  /// freshly built or reused, and identical under run() and run_parallel().
-  /// When false, every cell boots a private platform and the sink observes
-  /// the boot as well (the pre-reuse behaviour).
-  bool reuse_platforms = true;
   /// Optional span profiler (null = instrumentation costs one branch per
   /// site). run_cell records cell/{acquire,restore,inject,monitor,recover}
   /// spans whose counts and steps are deterministic per cell — trace-sink
-  /// step deltas and rewind frame counts, never wall time — so the
-  /// aggregated tree is identical under run() and run_parallel() at any
-  /// thread count (run_parallel gives each worker a private lane profiler
-  /// and merges them here after the join; the supervisor does the same).
+  /// step deltas and rewind frame counts, never wall time. The supervisor
+  /// records into per-worker lanes and merges them here after the join.
   obs::SpanProfiler* profiler = nullptr;
-  /// Optional live status board: run()/run_parallel() and the supervisor
-  /// publish cells done/total, per-worker heartbeats and retry/quarantine
-  /// counts; preflight forwards it to the model checker.
+  /// Optional live status board: the supervisor publishes cells
+  /// done/total, per-worker heartbeats and retry/quarantine counts;
+  /// preflight forwards it to the model checker.
   obs::StatusBoard* status = nullptr;
 };
 
 /// One warm platform per (version, injector) pair, each parked at its
-/// captured boot baseline. Owned by a single worker (not thread-safe):
-/// Campaign::run keeps one for the whole matrix, run_parallel one per
-/// worker, and the supervisor one per retry worker. run_cell rewinds a
-/// leased platform back to the baseline when the cell finishes, so a
-/// pooled platform is always clean between cells.
+/// captured boot baseline. Owned by a single worker (not thread-safe): the
+/// supervisor keeps one per worker. run_cell attaches the cell's trace sink
+/// only after the lease and rewinds the platform to the baseline when the
+/// cell finishes, so a cell's trace, counters and budget cover exactly its
+/// own execution whether the platform was fresh or reused.
 class PlatformPool {
  public:
   struct Entry {
@@ -193,33 +183,15 @@ class Campaign {
   [[nodiscard]] PreflightReport preflight(unsigned depth = 2,
                                           unsigned threads = 0) const;
 
-  /// Run every (use case × version × mode) cell.
-  [[nodiscard]] std::vector<CellResult> run(
-      const std::vector<std::unique_ptr<UseCase>>& cases) const;
-
-  /// Same matrix, cells distributed over `threads` workers. Each cell owns
-  /// a private platform, so cells are embarrassingly parallel — but a
-  /// UseCase instance is stateful across a run (per-run members), so every
-  /// worker gets its own instances via `factory`. Results come back in the
-  /// same deterministic order as run().
-  [[nodiscard]] std::vector<CellResult> run_parallel(
-      const std::function<std::vector<std::unique_ptr<UseCase>>()>& factory,
-      unsigned threads) const;
-
-  /// Run a single cell on a fresh platform (a one-shot pool).
+  /// Run a single cell on a freshly booted platform (a one-shot pool),
+  /// recording spans into config().profiler.
   [[nodiscard]] CellResult run_cell(UseCase& use_case, hv::XenVersion version,
                                     Mode mode) const;
 
-  /// Run a single cell, leasing the platform from `pool` when
-  /// reuse_platforms is set (the pool is untouched otherwise). Callers that
-  /// run many cells — run(), run_parallel() workers, the supervisor — pass
-  /// a long-lived pool so consecutive cells share warm platforms.
-  [[nodiscard]] CellResult run_cell(UseCase& use_case, hv::XenVersion version,
-                                    Mode mode, PlatformPool& pool) const;
-
-  /// Same, recording spans into `profiler` instead of config().profiler —
-  /// the per-worker-lane entry point used by run_parallel() and the
-  /// supervisor (profilers are single-writer, like trace sinks).
+  /// Run a single cell on a platform leased from `pool`, recording spans
+  /// into `profiler` (profilers are single-writer, like trace sinks).
+  /// Callers that run many cells pass a long-lived pool so consecutive
+  /// cells share warm platforms.
   [[nodiscard]] CellResult run_cell(UseCase& use_case, hv::XenVersion version,
                                     Mode mode, PlatformPool& pool,
                                     obs::SpanProfiler* profiler) const;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -147,6 +148,32 @@ std::vector<CellResult> CampaignSupervisor::run(
     }
   }
 
+  // run_cell already isolates use-case and platform failures; this is the
+  // backstop for anything else (e.g. a throwing name()). The failure lands
+  // on the owning cell, never on its siblings or the worker.
+  const auto contained_cell = [&](std::size_t c,
+                                  std::vector<std::unique_ptr<UseCase>>& cases,
+                                  hv::XenVersion version, Mode mode,
+                                  PlatformPool& pool, obs::SpanProfiler* lane) {
+    try {
+      return campaign.run_cell(*cases[c], version, mode, pool, lane);
+    } catch (...) {
+      CellResult cell;
+      cell.use_case = names[c];
+      cell.version = version;
+      cell.mode = mode;
+      cell.outcome.completed = false;
+      try {
+        throw;
+      } catch (const std::exception& e) {
+        cell.failure = e.what();
+      } catch (...) {
+        cell.failure = "non-standard exception";
+      }
+      return cell;
+    }
+  };
+
   // Run one claimed use case to completion: the full (version, mode) row
   // in matrix order, with retry/quarantine decided by that ordered
   // history. Chaos worker faults propagate out as WorkerCrash.
@@ -210,7 +237,7 @@ std::vector<CellResult> CampaignSupervisor::run(
                 std::this_thread::sleep_for(std::chrono::microseconds{us});
               }
             }
-            cell = campaign.run_cell(*cases[c], version, mode, pool, lane);
+            cell = contained_cell(c, cases, version, mode, pool, lane);
           } while (cell.failed() && attempt < config_.max_attempts);
           cell.attempts = attempt;
         }
@@ -265,9 +292,23 @@ std::vector<CellResult> CampaignSupervisor::run(
     }
   };
 
+  // A worker whose factory throws runs nothing and its siblings drain the
+  // claims. The first error is kept for a round in which no worker could
+  // build its cases (see below).
+  std::mutex factory_mu;
+  std::exception_ptr factory_error;
+  std::atomic<unsigned> built{0};
   auto worker_body = [&](unsigned w) {
     obs::SpanProfiler* const lane = lanes.empty() ? nullptr : lanes[w].get();
-    auto cases = factory();
+    std::vector<std::unique_ptr<UseCase>> cases;
+    try {
+      cases = factory();
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock{factory_mu};
+      if (!factory_error) factory_error = std::current_exception();
+      return;
+    }
+    built.fetch_add(1);
     // Warm platforms are per-worker (not thread-safe); retries of a cell
     // lease the same platform again, rewound to its baseline in between.
     PlatformPool pool;
@@ -300,6 +341,7 @@ std::vector<CellResult> CampaignSupervisor::run(
   };
 
   const auto run_round = [&] {
+    built.store(0);
     if (n_workers == 1) {
       worker_body(0);
     } else {
@@ -315,14 +357,18 @@ std::vector<CellResult> CampaignSupervisor::run(
   // Round 1 plus respawn rounds: a round ends when every worker returned —
   // all claims done, or some workers crashed. Crashed claims sit in
   // `released`, so respawned workers drain them; the crash cap above
-  // guarantees the loop terminates.
+  // guarantees the loop terminates, and a round in which no worker built
+  // its cases ends it.
   run_round();
-  while (!killed.load() && unfinished()) run_round();
+  while (!killed.load() && unfinished() && built.load() > 0) run_round();
 
   if (status != nullptr) status->campaign_end();
   for (const auto& lane : lanes) campaign_.profiler->merge(*lane);
 
   if (killed.load()) throw CampaignKilled{};
+  // Claims remain only when every worker's factory threw: no result for
+  // them exists, and a default-constructed matrix would pass for one.
+  if (unfinished()) std::rethrow_exception(factory_error);
 
   // Robustness bookkeeping rides on the first cell's counters (cells are
   // merged in order, so the campaign aggregate sees it exactly once).

@@ -1,4 +1,6 @@
-// Fault-tolerant campaign supervisor.
+// Campaign supervisor: the one runner for the (use case x version x mode)
+// matrix. With a default SupervisorConfig it runs every cell once, in
+// matrix order, on one thread and one warm platform pool.
 //
 // Campaign::run_cell already isolates each cell (exceptions become failed
 // CaseOutcomes, budgets bound runaway cells, recovery is optional per
@@ -34,11 +36,15 @@
 // identical (deterministic) values. A crashed claim can therefore never
 // strand cells until process exit.
 //
-// Determinism under parallelism: workers claim whole *use cases*, never
-// individual cells. All cells of one use case run sequentially in matrix
-// order on one worker, so retry and quarantine decisions depend only on
-// that ordered history — results are identical for any thread count (and,
-// with CampaignConfig::logical_time, byte-identical as CSV).
+// Thread-count guarantee: workers claim whole *use cases*, never individual
+// cells. All cells of one use case run sequentially in matrix order on one
+// worker, and each cell's trace sink starts at seq 0 on a platform rewound
+// to its boot baseline. So verdicts, traces, per-cell counters, retry and
+// quarantine decisions and the merged Det span profile are identical for
+// any thread count (and, with CampaignConfig::logical_time, byte-identical
+// as CSV). The one exception is the cell.reuse_hits counter: whether a
+// leased platform was already warm depends on which worker ran which use
+// case before, so it is a property of the schedule, not of the cell.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +83,11 @@ class CampaignSupervisor {
       : campaign_{std::move(campaign)}, config_{std::move(config)} {}
 
   /// Run the full (use case x version x mode) matrix under supervision.
-  /// `factory` builds a private UseCase set per worker, exactly like
-  /// Campaign::run_parallel. Results come back in matrix order.
+  /// A UseCase instance is stateful across a run, so `factory` builds a
+  /// private set per worker (plus one probe for the row names). A worker
+  /// whose factory throws leaves its claims to its siblings; when no worker
+  /// can build its cases, the first factory error is rethrown. Results
+  /// come back in matrix order.
   [[nodiscard]] std::vector<CellResult> run(
       const std::function<std::vector<std::unique_ptr<UseCase>>()>& factory)
       const;

@@ -10,24 +10,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <stdexcept>
 
-#include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "core/supervisor.hpp"
 #include "xsa/usecases.hpp"
 
 namespace ii {
 namespace {
 
-core::Campaign make_campaign() {
-  core::CampaignConfig config{};
-  return core::Campaign{config};
-}
-
 class CampaignMatrix : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const auto cases = xsa::make_paper_use_cases();
-    results_ = new std::vector<core::CellResult>{make_campaign().run(cases)};
+    results_ = new std::vector<core::CellResult>{
+        core::CampaignSupervisor{core::CampaignConfig{}, {}}.run(
+            &xsa::make_paper_use_cases)};
   }
   static void TearDownTestSuite() {
     delete results_;
@@ -130,7 +128,7 @@ TEST_F(CampaignMatrix, ReportsRender) {
   EXPECT_NE(t3.find("[shield]"), std::string::npos);
 }
 
-// --- run_parallel fault containment -------------------------------------
+// --- supervisor fault containment at 2 threads ---------------------------
 //
 // A worker's factory or a use case throwing must never escape a worker
 // thread (std::terminate would take the whole campaign down); it fails
@@ -175,16 +173,22 @@ class ThrowingCase : public BenignCase {
   }
 };
 
-core::CampaignConfig tiny_config() {
+/// Runs the matrix at 2 threads: min(2, use cases) workers, each calling
+/// the factory once, after one probe call for the row names.
+std::vector<core::CellResult> run_two_threads(
+    const std::function<std::vector<std::unique_ptr<core::UseCase>>()>&
+        factory) {
   core::CampaignConfig config{};
   config.versions = {hv::kXen46};
   config.modes = {core::Mode::Exploit};
-  return config;
+  core::SupervisorConfig supervision{};
+  supervision.threads = 2;
+  return core::CampaignSupervisor{config, supervision}.run(factory);
 }
 
 TEST(CampaignParallel, OneThrowingFactoryDoesNotSinkTheRun) {
-  // Call 1 materializes the cell list; among the per-worker calls, exactly
-  // one throws. The surviving worker must drain every cell.
+  // Call 1 probes the row names; of the two per-worker calls, exactly one
+  // throws. The surviving worker must drain every use case.
   std::atomic<unsigned> calls{0};
   const auto factory = [&]() -> std::vector<std::unique_ptr<core::UseCase>> {
     if (calls.fetch_add(1) == 1) {
@@ -196,7 +200,7 @@ TEST(CampaignParallel, OneThrowingFactoryDoesNotSinkTheRun) {
     cases.push_back(std::make_unique<BenignCase>("gamma"));
     return cases;
   };
-  const auto results = core::Campaign{tiny_config()}.run_parallel(factory, 2);
+  const auto results = run_two_threads(factory);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].use_case, "alpha");
   EXPECT_EQ(results[2].use_case, "gamma");
@@ -214,13 +218,12 @@ TEST(CampaignParallel, AllFactoriesThrowingIsReportedLoudly) {
     if (calls.fetch_add(1) == 0) {
       std::vector<std::unique_ptr<core::UseCase>> cases;
       cases.push_back(std::make_unique<BenignCase>("alpha"));
-      return cases;  // the cell-list materialization succeeds
+      cases.push_back(std::make_unique<BenignCase>("beta"));
+      return cases;  // the row-name probe succeeds
     }
     throw std::runtime_error{"no cases for you"};
   };
-  EXPECT_THROW(
-      (void)core::Campaign{tiny_config()}.run_parallel(factory, 2),
-      std::runtime_error);
+  EXPECT_THROW((void)run_two_threads(factory), std::runtime_error);
 }
 
 TEST(CampaignParallel, NonStandardExceptionFailsOnlyItsCell) {
@@ -231,7 +234,7 @@ TEST(CampaignParallel, NonStandardExceptionFailsOnlyItsCell) {
     cases.push_back(std::make_unique<BenignCase>("gamma"));
     return cases;
   };
-  const auto results = core::Campaign{tiny_config()}.run_parallel(factory, 2);
+  const auto results = run_two_threads(factory);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_FALSE(results[0].failed());
   EXPECT_TRUE(results[0].outcome.completed);
@@ -240,6 +243,39 @@ TEST(CampaignParallel, NonStandardExceptionFailsOnlyItsCell) {
   EXPECT_FALSE(results[1].outcome.completed);
   EXPECT_FALSE(results[2].failed());
   EXPECT_TRUE(results[2].outcome.completed);
+}
+
+/// Named only on the instance the row-name probe builds: every worker's
+/// copy throws from name(), which run_cell calls outside its own guard.
+class NamelessCase : public BenignCase {
+ public:
+  explicit NamelessCase(bool named) : BenignCase{"nameless"}, named_{named} {}
+  [[nodiscard]] std::string name() const override {
+    if (!named_) throw std::runtime_error{"no name"};
+    return BenignCase::name();
+  }
+
+ private:
+  bool named_;
+};
+
+TEST(CampaignParallel, ExceptionEscapingACellFailsOnlyThatCell) {
+  std::atomic<unsigned> calls{0};
+  const auto factory = [&] {
+    const bool probe = calls.fetch_add(1) == 0;
+    std::vector<std::unique_ptr<core::UseCase>> cases;
+    cases.push_back(std::make_unique<BenignCase>("alpha"));
+    cases.push_back(std::make_unique<NamelessCase>(probe));
+    cases.push_back(std::make_unique<BenignCase>("gamma"));
+    return cases;
+  };
+  const auto results = run_two_threads(factory);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_FALSE(results[0].failed());
+  EXPECT_EQ(results[1].use_case, "nameless");
+  EXPECT_EQ(results[1].failure, "no name");
+  EXPECT_FALSE(results[1].outcome.completed);
+  EXPECT_FALSE(results[2].failed());
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Campaign-level observability: per-cell traces, hypercall pairing,
-// deterministic sequence numbers under run_parallel, and the CSV columns.
+// deterministic sequence numbers at any supervisor thread count, and the
+// CSV columns.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 
-#include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "core/supervisor.hpp"
 #include "obs/span.hpp"
 #include "obs/status.hpp"
 
@@ -18,7 +20,9 @@ namespace {
 /// and a balloon round-trip.
 class TraceProbeCase : public UseCase {
  public:
-  [[nodiscard]] std::string name() const override { return "trace-probe"; }
+  explicit TraceProbeCase(std::string name = "trace-probe")
+      : name_{std::move(name)} {}
+  [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] IntrusionModel model() const override { return {}; }
 
   CaseOutcome run_exploit(guest::VirtualPlatform& platform) override {
@@ -52,6 +56,8 @@ class TraceProbeCase : public UseCase {
     outcome.completed = true;
     return outcome;
   }
+
+  std::string name_;
 };
 
 CampaignConfig small_config(bool capture) {
@@ -66,15 +72,38 @@ CampaignConfig small_config(bool capture) {
   return config;
 }
 
-std::vector<std::unique_ptr<UseCase>> probe_cases() {
+/// `n` probe use cases: trace-probe, trace-probe-1, trace-probe-2, ...
+std::vector<std::unique_ptr<UseCase>> probe_cases(unsigned n) {
   std::vector<std::unique_ptr<UseCase>> cases;
   cases.push_back(std::make_unique<TraceProbeCase>());
+  for (unsigned i = 1; i < n; ++i) {
+    cases.push_back(
+        std::make_unique<TraceProbeCase>("trace-probe-" + std::to_string(i)));
+  }
   return cases;
 }
 
+/// The probe matrix through the supervisor. Its worker count is
+/// min(threads, n_cases).
+std::vector<CellResult> run_probes(const CampaignConfig& config,
+                                   unsigned threads = 1,
+                                   unsigned n_cases = 1) {
+  SupervisorConfig supervision{};
+  supervision.threads = threads;
+  return CampaignSupervisor{config, supervision}.run(
+      [n_cases] { return probe_cases(n_cases); });
+}
+
+/// A cell's counters minus cell.reuse_hits, the one counter that depends on
+/// which worker ran which use case before (supervisor.hpp).
+std::map<std::string, std::uint64_t> schedule_free(const CellResult& cell) {
+  auto counters = cell.metrics.counters;
+  counters.erase("cell.reuse_hits");
+  return counters;
+}
+
 TEST(CampaignTrace, EveryCellPairsEnterAndExitInOrder) {
-  const Campaign campaign{small_config(/*capture=*/true)};
-  const auto results = campaign.run(probe_cases());
+  const auto results = run_probes(small_config(/*capture=*/true));
   ASSERT_EQ(results.size(), 4u);
   for (const CellResult& cell : results) {
     ASSERT_FALSE(cell.trace.empty());
@@ -109,8 +138,7 @@ TEST(CampaignTrace, EveryCellPairsEnterAndExitInOrder) {
 }
 
 TEST(CampaignTrace, PerNrCountersSumToEnterEvents) {
-  const Campaign campaign{small_config(/*capture=*/false)};
-  const auto results = campaign.run(probe_cases());
+  const auto results = run_probes(small_config(/*capture=*/false));
   for (const CellResult& cell : results) {
     // capture off: counters still collected, ring stays empty.
     EXPECT_TRUE(cell.trace.empty());
@@ -125,20 +153,21 @@ TEST(CampaignTrace, PerNrCountersSumToEnterEvents) {
 }
 
 TEST(CampaignTrace, ParallelTracesMatchSerialByCell) {
-  const Campaign campaign{small_config(/*capture=*/true)};
-  const auto serial = campaign.run(probe_cases());
-  const auto parallel1 = campaign.run_parallel(probe_cases, 1);
-  const auto parallel4 = campaign.run_parallel(probe_cases, 4);
+  const auto config = small_config(/*capture=*/true);
+  const auto serial = run_probes(config, 1, 3);
+  const auto parallel2 = run_probes(config, 2, 3);
+  const auto parallel4 = run_probes(config, 4, 3);
 
-  ASSERT_EQ(serial.size(), parallel1.size());
+  ASSERT_EQ(serial.size(), 12u);
+  ASSERT_EQ(serial.size(), parallel2.size());
   ASSERT_EQ(serial.size(), parallel4.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    for (const auto* run : {&parallel1[i], &parallel4[i]}) {
+    for (const auto* run : {&parallel2[i], &parallel4[i]}) {
       EXPECT_EQ(serial[i].use_case, run->use_case);
       EXPECT_EQ(serial[i].version, run->version);
       EXPECT_EQ(serial[i].mode, run->mode);
       EXPECT_EQ(serial[i].hypercalls, run->hypercalls);
-      EXPECT_EQ(serial[i].metrics.counters, run->metrics.counters);
+      EXPECT_EQ(schedule_free(serial[i]), schedule_free(*run));
       // Per-cell sinks restart seq at 0, so the trace is byte-identical
       // regardless of worker count and scheduling.
       ASSERT_EQ(serial[i].trace.size(), run->trace.size());
@@ -154,8 +183,7 @@ TEST(CampaignTrace, ParallelTracesMatchSerialByCell) {
 }
 
 TEST(CampaignTrace, CsvCarriesTimingColumns) {
-  const Campaign campaign{small_config(/*capture=*/false)};
-  const auto results = campaign.run(probe_cases());
+  const auto results = run_probes(small_config(/*capture=*/false));
   const std::string csv = render_csv(results);
   EXPECT_NE(csv.find(",wall_us,hypercalls,attempts,recovered,quarantined\n"),
             std::string::npos);
@@ -178,8 +206,7 @@ TEST(CampaignTrace, CsvCarriesTimingColumns) {
 }
 
 TEST(CampaignTrace, MetricsSummaryRendersCounters) {
-  const Campaign campaign{small_config(/*capture=*/false)};
-  const auto results = campaign.run(probe_cases());
+  const auto results = run_probes(small_config(/*capture=*/false));
   obs::MetricsRegistry aggregate;
   for (const auto& cell : results) aggregate.merge(cell.metrics);
   const std::string summary = render_metrics_summary(aggregate.snapshot());
@@ -188,26 +215,35 @@ TEST(CampaignTrace, MetricsSummaryRendersCounters) {
 }
 
 TEST(CampaignWarmReuse, WarmAndColdCellsAgreeOnEverythingObservable) {
-  // Warm platform reuse is a pure setup optimization: verdicts, hypercall
-  // counts and traces must match a campaign that boots every cell cold.
-  auto warm_config = small_config(/*capture=*/true);
-  warm_config.reuse_platforms = true;
-  auto cold_config = warm_config;
-  cold_config.reuse_platforms = false;
-
-  const auto warm = Campaign{warm_config}.run(probe_cases());
-  const auto cold = Campaign{cold_config}.run(probe_cases());
-  ASSERT_EQ(warm.size(), cold.size());
-  for (std::size_t i = 0; i < warm.size(); ++i) {
-    EXPECT_EQ(warm[i].err_state, cold[i].err_state) << i;
-    EXPECT_EQ(warm[i].violation, cold[i].violation) << i;
-    EXPECT_EQ(warm[i].outcome.completed, cold[i].outcome.completed) << i;
-    EXPECT_EQ(warm[i].outcome.rc, cold[i].outcome.rc) << i;
-    EXPECT_EQ(warm[i].failure, cold[i].failure) << i;
-    // Boot issues no hypercalls through the dispatch table, so the count
-    // matches even though the cold cell's sink observed the boot.
-    EXPECT_EQ(warm[i].hypercalls, cold[i].hypercalls) << i;
+  // Warm platform reuse is a pure setup optimization: every pooled cell
+  // (the second use case's cells all lease warm platforms) must match the
+  // one-shot run_cell, which boots a fresh platform for its one cell.
+  const auto config = small_config(/*capture=*/true);
+  const auto pooled = run_probes(config, 1, 2);
+  const Campaign campaign{config};
+  unsigned warm_cells = 0;
+  for (const CellResult& warm : pooled) {
+    warm_cells += warm.metrics.counter("cell.reuse_hits") != 0 ? 1 : 0;
+    TraceProbeCase probe{warm.use_case};
+    const CellResult cold = campaign.run_cell(probe, warm.version, warm.mode);
+    const std::string at = warm.use_case + "@" + warm.version.to_string() +
+                           "/" + to_string(warm.mode);
+    EXPECT_EQ(warm.err_state, cold.err_state) << at;
+    EXPECT_EQ(warm.violation, cold.violation) << at;
+    EXPECT_EQ(warm.outcome.completed, cold.outcome.completed) << at;
+    EXPECT_EQ(warm.outcome.rc, cold.outcome.rc) << at;
+    EXPECT_EQ(warm.failure, cold.failure) << at;
+    EXPECT_EQ(warm.hypercalls, cold.hypercalls) << at;
+    ASSERT_EQ(warm.trace.size(), cold.trace.size()) << at;
+    for (std::size_t e = 0; e < warm.trace.size(); ++e) {
+      EXPECT_EQ(warm.trace[e].seq, cold.trace[e].seq) << at;
+      EXPECT_EQ(warm.trace[e].category, cold.trace[e].category) << at;
+      EXPECT_EQ(warm.trace[e].domain, cold.trace[e].domain) << at;
+      EXPECT_EQ(warm.trace[e].code, cold.trace[e].code) << at;
+      EXPECT_EQ(warm.trace[e].rc, cold.trace[e].rc) << at;
+    }
   }
+  EXPECT_EQ(warm_cells, pooled.size() / 2);
 }
 
 TEST(CampaignWarmReuse, SecondCellOnSameConfigIsAReuseHit) {
@@ -216,12 +252,7 @@ TEST(CampaignWarmReuse, SecondCellOnSameConfigIsAReuseHit) {
   auto config = small_config(/*capture=*/false);
   config.versions = {hv::kXen46};
   config.modes = {Mode::Exploit};
-  const Campaign campaign{config};
-
-  std::vector<std::unique_ptr<UseCase>> cases;
-  cases.push_back(std::make_unique<TraceProbeCase>());
-  cases.push_back(std::make_unique<TraceProbeCase>());
-  const auto results = campaign.run(cases);
+  const auto results = run_probes(config, 1, 2);
   ASSERT_EQ(results.size(), 2u);
 
   const auto counter = [](const CellResult& cell, const char* name) {
@@ -247,7 +278,7 @@ TEST(CampaignProfile, SpanTreeCoversTheCellLifecycle) {
   auto config = small_config(/*capture=*/false);
   obs::SpanProfiler prof;
   config.profiler = &prof;
-  const auto results = Campaign{config}.run(probe_cases());
+  const auto results = run_probes(config);
   ASSERT_EQ(results.size(), 4u);
   const obs::SpanNode& root = prof.root();
   ASSERT_NE(root.children.find("cell"), root.children.end());
@@ -263,20 +294,19 @@ TEST(CampaignProfile, SpanTreeCoversTheCellLifecycle) {
 }
 
 TEST(CampaignProfile, MergedParallelProfileMatchesSerial) {
-  // run_parallel records into per-worker lane profilers and merges after
-  // join; the aggregated deterministic render must equal a serial run's,
+  // The supervisor records into per-worker lane profilers and merges after
+  // join; the aggregated deterministic render must equal a 1-thread run's,
   // at any worker count.
-  auto serial_config = small_config(/*capture=*/false);
-  obs::SpanProfiler serial_prof;
-  serial_config.profiler = &serial_prof;
-  (void)Campaign{serial_config}.run(probe_cases());
-  const std::string baseline = render_profile(serial_prof);
-  for (const unsigned workers : {1u, 3u}) {
+  const auto profile_at = [](unsigned threads) {
     auto config = small_config(/*capture=*/false);
     obs::SpanProfiler prof;
     config.profiler = &prof;
-    (void)Campaign{config}.run_parallel(probe_cases, workers);
-    EXPECT_EQ(baseline, render_profile(prof)) << "workers=" << workers;
+    (void)run_probes(config, threads, 3);
+    return render_profile(prof);
+  };
+  const std::string baseline = profile_at(1);
+  for (const unsigned workers : {2u, 3u}) {
+    EXPECT_EQ(baseline, profile_at(workers)) << "workers=" << workers;
   }
 }
 
@@ -284,7 +314,8 @@ TEST(CampaignProfile, StatusBoardSeesTheWholeMatrix) {
   auto config = small_config(/*capture=*/false);
   obs::StatusBoard board;
   config.status = &board;
-  const auto results = Campaign{config}.run_parallel(probe_cases, 2);
+  // Two use cases, so both of the two threads get a worker.
+  const auto results = run_probes(config, 2, 2);
   const obs::StatusSnapshot s = board.snapshot();
   EXPECT_FALSE(s.campaign_active);  // campaign_end() ran
   EXPECT_EQ(s.cells_total, results.size());

@@ -1,8 +1,8 @@
 // Model-coverage accounting and the parallel campaign runner.
 #include <gtest/gtest.h>
 
-#include "core/campaign.hpp"
 #include "core/coverage.hpp"
+#include "core/supervisor.hpp"
 #include "cvedb/advisories.hpp"
 #include "xsa/usecases.hpp"
 
@@ -73,17 +73,22 @@ TEST(ModelCoverage, RenderShowsRatioAndMarks) {
   EXPECT_NE(out.find("XSA-212-priv"), std::string::npos);
 }
 
-TEST(ParallelCampaign, MatchesSerialResults) {
-  core::CampaignConfig config{};
+/// The paper's matrix through the supervisor at `threads` workers.
+std::vector<core::CellResult> run_paper_cases(core::CampaignConfig config,
+                                              unsigned threads) {
   config.modes = {core::Mode::Injection};
   config.platform.machine_frames = 8192;
   config.platform.dom0_pages = 128;
   config.platform.guest_pages = 64;
-  const core::Campaign campaign{config};
+  core::SupervisorConfig supervision{};
+  supervision.threads = threads;
+  return core::CampaignSupervisor{config, supervision}.run(
+      &xsa::make_paper_use_cases);
+}
 
-  const auto serial = campaign.run(xsa::make_paper_use_cases());
-  const auto parallel =
-      campaign.run_parallel(&xsa::make_paper_use_cases, 4);
+TEST(ParallelCampaign, MatchesSerialResults) {
+  const auto serial = run_paper_cases({}, 1);
+  const auto parallel = run_paper_cases({}, 4);
 
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -98,13 +103,8 @@ TEST(ParallelCampaign, MatchesSerialResults) {
 TEST(ParallelCampaign, SingleThreadAndOversubscription) {
   core::CampaignConfig config{};
   config.versions = {hv::kXen413};
-  config.modes = {core::Mode::Injection};
-  config.platform.machine_frames = 8192;
-  config.platform.dom0_pages = 128;
-  config.platform.guest_pages = 64;
-  const core::Campaign campaign{config};
-  const auto one = campaign.run_parallel(&xsa::make_paper_use_cases, 1);
-  const auto many = campaign.run_parallel(&xsa::make_paper_use_cases, 64);
+  const auto one = run_paper_cases(config, 1);
+  const auto many = run_paper_cases(config, 64);
   ASSERT_EQ(one.size(), 4u);
   ASSERT_EQ(many.size(), 4u);
   for (std::size_t i = 0; i < one.size(); ++i) {

@@ -128,11 +128,11 @@ std::string temp_journal(const std::string& name) {
 
 TEST(CampaignIsolation, ThrowingUseCaseDoesNotAbortTheCampaign) {
   auto config = small_config();
-  const core::Campaign campaign{config};
-  std::vector<std::unique_ptr<core::UseCase>> cases;
-  cases.push_back(std::make_unique<ThrowingCase>());
-
-  const auto results = campaign.run(cases);
+  const auto results = core::CampaignSupervisor{config, {}}.run([] {
+    std::vector<std::unique_ptr<core::UseCase>> cases;
+    cases.push_back(std::make_unique<ThrowingCase>());
+    return cases;
+  });
   ASSERT_EQ(results.size(), config.versions.size() * config.modes.size());
   for (const auto& cell : results) {
     EXPECT_TRUE(cell.failed());

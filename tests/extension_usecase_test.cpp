@@ -1,7 +1,7 @@
 // The two extension intrusion models end to end, across all versions.
 #include <gtest/gtest.h>
 
-#include "core/campaign.hpp"
+#include "core/supervisor.hpp"
 #include "xsa/usecases.hpp"
 
 namespace ii::xsa {
@@ -209,8 +209,8 @@ TEST(ExtensionCampaign, RunsThroughTheGenericEngine) {
   config.platform.machine_frames = 8192;
   config.platform.dom0_pages = 128;
   config.platform.guest_pages = 64;
-  const core::Campaign campaign{config};
-  const auto results = campaign.run(make_extension_use_cases());
+  const auto results =
+      core::CampaignSupervisor{config, {}}.run(&make_extension_use_cases);
   ASSERT_EQ(results.size(), 12u);  // 4 cases x 3 versions
   for (const auto& cell : results) {
     EXPECT_TRUE(cell.err_state) << cell.use_case << cell.version.to_string();
