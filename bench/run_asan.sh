@@ -4,7 +4,8 @@
 # the memory-sensitive test binaries — the ReHype recovery walk re-derives
 # frame-table state from live page tables, which is exactly where a stale
 # pointer or over-read would hide — plus the decoders of on-disk formats
-# (IIFZ traces, spill records), which read untrusted bytes.
+# (IIFZ traces, spill records, journal lines) and the chaos-plan parser,
+# which read untrusted bytes.
 #
 # Usage: bench/run_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -14,7 +15,8 @@ BUILD_DIR="${1:-$REPO_ROOT/build-asan}"
 
 TESTS=(hv_recovery_test core_supervisor_test core_campaign_trace_test
        hv_mmu_update_test hv_audit_exception_test core_chaos_test
-       core_fuzz_test core_fuzz_seq_test hv_guest_op_test)
+       core_fuzz_test core_fuzz_seq_test hv_guest_op_test
+       core_parser_mutation_test)
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

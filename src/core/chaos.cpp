@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -33,6 +34,14 @@ constexpr ChaosPointEntry kChaosPointTable[] = {
 
 std::atomic<ChaosEngine*> g_engine{nullptr};
 
+/// A plan number: a nonempty run of decimal digits that fits in 64 bits. No
+/// sign, no whitespace, nothing after it.
+bool parse_digits(std::string_view s, std::uint64_t* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc{} && ptr == end;
+}
+
 }  // namespace
 
 std::string_view chaos_point_description(std::string_view name) {
@@ -59,12 +68,8 @@ ChaosPlan parse_chaos_plan(const std::string& text) {
     std::string name;
     if (eq != std::string::npos && (at == std::string::npos || eq < at)) {
       name = token.substr(0, eq);
-      unsigned long rate = 0;
-      try {
-        std::size_t end = 0;
-        rate = std::stoul(token.substr(eq + 1), &end);
-        if (end != token.size() - eq - 1) throw std::invalid_argument{token};
-      } catch (const std::exception&) {
+      std::uint64_t rate = 0;
+      if (!parse_digits(std::string_view{token}.substr(eq + 1), &rate)) {
         throw std::invalid_argument{"chaos plan: bad rate in '" + token + "'"};
       }
       if (rate > 1000) {
@@ -74,12 +79,8 @@ ChaosPlan parse_chaos_plan(const std::string& text) {
       plan[name].rate_permille = static_cast<std::uint32_t>(rate);
     } else if (at != std::string::npos) {
       name = token.substr(0, at);
-      unsigned long long occ = 0;
-      try {
-        std::size_t end = 0;
-        occ = std::stoull(token.substr(at + 1), &end);
-        if (end != token.size() - at - 1) throw std::invalid_argument{token};
-      } catch (const std::exception&) {
+      std::uint64_t occ = 0;
+      if (!parse_digits(std::string_view{token}.substr(at + 1), &occ)) {
         throw std::invalid_argument{"chaos plan: bad occurrence in '" + token +
                                     "'"};
       }

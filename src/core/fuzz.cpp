@@ -11,12 +11,10 @@
 #include <fstream>
 #include <iomanip>
 #include <iterator>
-#include <memory>
 #include <set>
 #include <sstream>
 
 #include "core/chaos.hpp"
-#include "core/injector.hpp"
 #include "hv/audit.hpp"
 #include "hv/errors.hpp"
 #include "hv/layout.hpp"
@@ -66,17 +64,6 @@ std::mt19937_64 rng_for(std::uint64_t seed, std::uint64_t iteration) {
 
 namespace {
 
-std::string target_name(FuzzTarget target) {
-  switch (target) {
-    case FuzzTarget::OwnL1Slot: return "own L1 slot";
-    case FuzzTarget::OwnL4Slot: return "own L4 slot";
-    case FuzzTarget::IdtBytes: return "IDT gate bytes";
-    case FuzzTarget::XenL3Slot: return "shared Xen L3 slot";
-    case FuzzTarget::WildPhysical: return "wild physical address";
-  }
-  return "unknown";
-}
-
 /// A plausible-but-random PTE value: a frame somewhere in the machine plus
 /// a random flag cocktail (biased towards present entries — non-present
 /// injections are overwhelmingly inert).
@@ -96,51 +83,6 @@ std::uint64_t random_pte(std::mt19937_64& rng, std::uint64_t frames) {
   if (draw_below(rng, 8) == 0) flags |= sim::Pte::kPageSize;
   if (draw_below(rng, 16) == 0) flags |= sim::Pte::kNoExecute;
   return sim::Pte::make(sim::Mfn{frame}, flags).raw();
-}
-
-/// One iteration: inject, activate, classify. The platform arrives at its
-/// boot baseline (fresh or rewound — byte-identical either way).
-FuzzOutcome run_one(const FuzzConfig& config, unsigned iteration,
-                    guest::VirtualPlatform& platform, FuzzTarget* chosen) {
-  std::mt19937_64 rng = rng_for(config.seed, iteration);
-  guest::GuestKernel& attacker = platform.guest(0);
-  ArbitraryAccessInjector injector{attacker};
-
-  const auto target =
-      static_cast<FuzzTarget>(draw_below(rng, kFuzzTargetCount));
-  *chosen = target;
-  std::uint64_t address = 0;
-  std::uint64_t value = 0;
-  draw_injection(rng, platform, target, &address, &value);
-
-  if (!injector.write_u64(address, value, AddressMode::Physical)) {
-    return FuzzOutcome::Refused;
-  }
-
-  // Activation workload: ordinary guest behaviour that would trip over the
-  // injected state — touch own memory, take a page fault, raise a couple of
-  // interrupt vectors, run the event loop.
-  std::array<std::uint8_t, 8> buf{};
-  for (unsigned i = 0; i < 4; ++i) {
-    const sim::Pfn pfn{guest::kFirstFreePfn.raw() + draw_below(rng, 8)};
-    (void)attacker.read_virt(attacker.pfn_va(pfn), buf);
-  }
-  (void)attacker.read_virt(sim::Vaddr{0xDEAD000000ULL}, buf);  // page fault
-  (void)attacker.software_interrupt(
-      static_cast<unsigned>(draw_below(rng, 256)));
-  (void)attacker.handle_events();
-
-  // Classification, most severe first.
-  if (platform.hv().crashed()) return FuzzOutcome::HostCrash;
-  if (platform.hv().cpu_hung()) return FuzzOutcome::CpuHang;
-  const hv::AuditReport report = hv::audit_system(platform.hv());
-  const bool isolation =
-      report.has(hv::FindingKind::GuestWritablePageTable) ||
-      report.has(hv::FindingKind::GuestWritableXenFrame) ||
-      report.has(hv::FindingKind::GuestMapsForeignFrame);
-  if (isolation) return FuzzOutcome::IsolationViolation;
-  if (!report.clean()) return FuzzOutcome::DetectedByAudit;
-  return FuzzOutcome::NoObservableEffect;
 }
 
 }  // namespace
@@ -174,57 +116,6 @@ void draw_injection(std::mt19937_64& rng, guest::VirtualPlatform& platform,
       *value = rng();
       break;
   }
-}
-
-std::string FuzzStats::render() const {
-  std::ostringstream os;
-  os << "randomized injections: " << iterations << " (refused: "
-     << injections_refused << ")\n";
-  for (const auto& [outcome, count] : outcomes) {
-    os << "  " << to_string(outcome) << ": " << count << "\n";
-  }
-  os << "targets drawn:\n";
-  for (const auto& [target, count] : targets) {
-    os << "  " << target_name(target) << ": " << count << "\n";
-  }
-  return os.str();
-}
-
-FuzzStats run_random_injection_campaign(const FuzzConfig& config) {
-  FuzzStats stats;
-  stats.iterations = config.iterations;
-
-  guest::PlatformConfig pc = config.platform;
-  pc.version = config.version;
-  pc.injector_enabled = true;
-
-  // Warm path: one boot, then rewind to the baseline between iterations —
-  // the same delta-restore machinery the campaign pool uses. A rewound
-  // platform is byte-identical to a fresh boot, so outcome/refused/target
-  // counts match the cold path exactly (regression-tested).
-  std::unique_ptr<guest::VirtualPlatform> platform;
-  std::unique_ptr<guest::PlatformBaseline> baseline;
-  for (unsigned i = 0; i < config.iterations; ++i) {
-    if (platform == nullptr) {
-      platform = std::make_unique<guest::VirtualPlatform>(pc);
-      ++stats.platform_boots;
-      if (config.reuse_platform) {
-        baseline = std::make_unique<guest::PlatformBaseline>(
-            platform->baseline());
-      }
-    } else if (config.reuse_platform) {
-      platform->restore(*baseline);
-    } else {
-      platform = std::make_unique<guest::VirtualPlatform>(pc);
-      ++stats.platform_boots;
-    }
-    FuzzTarget target{};
-    const FuzzOutcome outcome = run_one(config, i, *platform, &target);
-    ++stats.outcomes[outcome];
-    ++stats.targets[target];
-    if (outcome == FuzzOutcome::Refused) ++stats.injections_refused;
-  }
-  return stats;
 }
 
 // ------------------------------------------------------------ coverage map
@@ -539,20 +430,26 @@ hv::GuestOp random_op_of_kind(std::mt19937_64& rng,
   return op;
 }
 
-hv::GuestOp random_op(std::mt19937_64& rng,
-                      guest::VirtualPlatform& platform) {
+/// A fresh op: any kind, or only the injector's write when `injector_only`
+/// (which then draws no kind, so the target draw comes first).
+hv::GuestOp random_op(std::mt19937_64& rng, guest::VirtualPlatform& platform,
+                      bool injector_only) {
   return random_op_of_kind(
       rng, platform,
-      static_cast<hv::GuestOp::Kind>(draw_below(rng, hv::kGuestOpKindCount)));
+      injector_only ? hv::GuestOp::Kind::ArbitraryWrite
+                    : static_cast<hv::GuestOp::Kind>(
+                          draw_below(rng, hv::kGuestOpKindCount)));
 }
 
 std::vector<hv::GuestOp> random_trace(std::mt19937_64& rng,
                                       guest::VirtualPlatform& platform,
-                                      unsigned max_ops) {
-  const std::uint64_t n = 1 + draw_below(rng, std::max(1u, max_ops));
+                                      const SeqFuzzConfig& config) {
+  const std::uint64_t n = 1 + draw_below(rng, std::max(1u, config.max_ops));
   std::vector<hv::GuestOp> ops;
   ops.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) ops.push_back(random_op(rng, platform));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ops.push_back(random_op(rng, platform, config.injector_only));
+  }
   return ops;
 }
 
@@ -660,8 +557,11 @@ std::vector<hv::GuestOp> mutate_trace(std::mt19937_64& rng,
                                       guest::VirtualPlatform& platform,
                                       std::vector<hv::GuestOp> ops,
                                       const std::vector<ScoredEntry>& corpus,
-                                      unsigned max_ops) {
-  const std::uint64_t limit = std::uint64_t{2} * std::max(1u, max_ops);
+                                      const SeqFuzzConfig& config) {
+  const std::uint64_t limit = std::uint64_t{2} * std::max(1u, config.max_ops);
+  const auto fresh = [&]() {
+    return random_op(rng, platform, config.injector_only);
+  };
   // Stack one or two mutation steps, biased heavily towards *extension*:
   // a corpus entry earned its place by driving the validation engine
   // somewhere, and the cheap way to new coverage is issuing further ops
@@ -675,7 +575,7 @@ std::vector<hv::GuestOp> mutate_trace(std::mt19937_64& rng,
         if (ops.size() < limit) {
           const std::uint64_t burst = 1 + draw_below(rng, 3);
           for (std::uint64_t b = 0; b < burst && ops.size() < limit; ++b) {
-            ops.push_back(random_op(rng, platform));
+            ops.push_back(fresh());
           }
           break;
         }
@@ -685,7 +585,7 @@ std::vector<hv::GuestOp> mutate_trace(std::mt19937_64& rng,
         if (ops.size() < limit) {
           const std::size_t pos = draw_below(rng, ops.size() + 1);
           ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(pos),
-                     random_op(rng, platform));
+                     fresh());
           break;
         }
         [[fallthrough]];
@@ -699,7 +599,7 @@ std::vector<hv::GuestOp> mutate_trace(std::mt19937_64& rng,
       }
       case 7: {  // replace one op wholesale
         const std::size_t pos = draw_below(rng, ops.size());
-        ops[pos] = random_op(rng, platform);
+        ops[pos] = fresh();
         break;
       }
       case 8: {  // splice: our prefix + another corpus entry's suffix
@@ -717,7 +617,7 @@ std::vector<hv::GuestOp> mutate_trace(std::mt19937_64& rng,
             break;
           }
         }
-        ops.push_back(random_op(rng, platform));  // no donor: grow instead
+        ops.push_back(fresh());  // no donor: grow instead
         break;
       }
       default: {  // truncate to a nonempty prefix (1/10)
@@ -727,7 +627,7 @@ std::vector<hv::GuestOp> mutate_trace(std::mt19937_64& rng,
       }
     }
   }
-  if (ops.empty()) ops.push_back(random_op(rng, platform));
+  if (ops.empty()) ops.push_back(fresh());
   return ops;
 }
 
@@ -889,9 +789,9 @@ SeqFuzzStats run_sequence_fuzzer(const SeqFuzzConfig& config) {
         r -= w;
       }
       ops = mutate_trace(rng, platform, corpus[picked].entry.ops, corpus,
-                         config.max_ops);
+                         config);
     } else {
-      ops = random_trace(rng, platform, config.max_ops);
+      ops = random_trace(rng, platform, config);
     }
 
     TraceResult result;

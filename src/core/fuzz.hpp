@@ -5,28 +5,27 @@
 //    approach that resembles fuzzing testing but in another level of
 //    interaction, in a post-attack phase."
 //
-// Two engines implement that suggestion:
+// One engine implements that suggestion: run_sequence_fuzzer (DESIGN.md
+// §17). Iterations execute *hypercall traces* — sequences of hv::GuestOps,
+// the model checker's op type, spanning the whole guest-issuable surface
+// plus the injector's write, applied through the one dispatcher hv::apply —
+// against a warm platform (delta-rewound between runs, O(dirty)).
+// A CoverageMap keyed on (op kind × frame type × validation branch) is fed
+// by a hv::CoverageHook planted in the validation engine; traces that light
+// up new coverage enter a corpus and a mutation scheduler preferentially
+// extends/mutates the entries that grew coverage most recently. Traces that
+// end in an erroneous state survive: they are shrunk by a delta-debugging
+// minimizer, classified against the model checker's erroneous-state
+// families, and flagged as *novel* when the four XSA scenarios do not cover
+// them. Corpus traces serialize to IIFZ files (format 2) that frame the same
+// op records as the checker's spill file, and replay byte-identically.
 //
-//  - run_random_injection_campaign: the original blind engine. Each
-//    iteration boots (or rewinds) a platform, drives one randomized
-//    write-what-where erroneous state through the arbitrary-access injector
-//    and classifies what the system did with it. No feedback, no memory.
-//
-//  - run_sequence_fuzzer: the coverage-guided engine (DESIGN.md §17).
-//    Iterations execute *hypercall traces* — sequences of hv::GuestOps, the
-//    model checker's op type, spanning the whole guest-issuable surface plus
-//    the injector's write, applied through the one dispatcher hv::apply —
-//    against a warm platform (delta-rewound between runs, O(dirty)).
-//    A CoverageMap keyed on (op kind × frame type × validation branch)
-//    is fed by a hv::CoverageHook planted in the validation engine; traces
-//    that light up new coverage enter a corpus and a mutation scheduler
-//    preferentially extends/mutates the entries that grew coverage most
-//    recently. Traces that end in an erroneous state survive: they are
-//    shrunk by a delta-debugging minimizer, classified against the model
-//    checker's erroneous-state families, and flagged as *novel* when the
-//    four XSA scenarios do not cover them. Corpus traces serialize to IIFZ
-//    files (format 2) that frame the same op records as the checker's spill
-//    file, and replay byte-identically.
+// The paper's blind campaign is the same engine with feedback, length and
+// op kinds pinned down: guided = false, max_ops = 1, minimize = false,
+// injector_only = true. Each iteration then drives one randomized
+// write-what-where erroneous state through the arbitrary-access hypercall
+// and classifies what the system did with it, with no feedback and no
+// memory.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +48,10 @@ class SpanProfiler;     // obs/span.hpp
 
 namespace ii::core {
 
-/// Classified consequence of one randomized injection or one trace.
+/// Classified consequence of one trace.
 enum class FuzzOutcome {
   NoObservableEffect,   ///< nothing the monitor can see changed
-  Refused,              ///< every attempted injection was refused
+  Refused,              ///< every op of the trace was refused
   DetectedByAudit,      ///< audit findings, but no violation materialized
   IsolationViolation,   ///< an isolation invariant no longer holds
   HostCrash,            ///< hypervisor panic
@@ -61,8 +60,7 @@ enum class FuzzOutcome {
 
 [[nodiscard]] std::string to_string(FuzzOutcome outcome);
 
-/// Target classes the blind generator draws from. Exposed so campaigns can
-/// restrict the state space to one intrusion model.
+/// Target classes of the injector's write (GuestOp::Kind::ArbitraryWrite).
 enum class FuzzTarget {
   OwnL1Slot,      ///< random slot of the attacker's leaf table
   OwnL4Slot,      ///< random slot of the attacker's top-level table
@@ -87,8 +85,7 @@ inline constexpr std::size_t kFuzzTargetCount = 5;
                                        std::uint64_t bound);
 
 /// A write-what-where injection into `target` on `platform`: the machine
-/// byte address and the 8-byte value the blind campaign (and the sequence
-/// fuzzer's ArbitraryWrite generator) injects.
+/// byte address and the 8-byte value of a generated ArbitraryWrite op.
 void draw_injection(std::mt19937_64& rng, guest::VirtualPlatform& platform,
                     FuzzTarget target, std::uint64_t* address,
                     std::uint64_t* value);
@@ -98,43 +95,6 @@ void draw_injection(std::mt19937_64& rng, guest::VirtualPlatform& platform,
 /// seed bits matter, and every draw is a full 64-bit word.
 [[nodiscard]] std::mt19937_64 rng_for(std::uint64_t seed,
                                       std::uint64_t iteration);
-
-// --------------------------------------------------------- blind campaign
-
-struct FuzzConfig {
-  hv::XenVersion version = hv::kXen46;
-  unsigned iterations = 50;
-  /// Campaign seed; see rng_for.
-  std::uint64_t seed = 1;
-  /// Boot one platform and rewind it to its baseline() between iterations
-  /// (delta restore, O(dirty frames)) instead of cold-booting every time.
-  /// Outcomes are identical either way — a restored platform is
-  /// byte-identical to a fresh boot — so this is purely a speed knob, kept
-  /// toggleable for the regression test that proves exactly that.
-  bool reuse_platform = true;
-  /// Platform shape per iteration (version/injector overridden).
-  guest::PlatformConfig platform{};
-};
-
-struct FuzzStats {
-  std::map<FuzzOutcome, unsigned> outcomes;
-  std::map<FuzzTarget, unsigned> targets;
-  unsigned iterations = 0;
-  /// Equals count(FuzzOutcome::Refused); kept as a named field because
-  /// reports cite it directly. Refused iterations are no longer *also*
-  /// counted under NoObservableEffect (the old double-count bug).
-  unsigned injections_refused = 0;
-  unsigned platform_boots = 0;  ///< 1 with reuse_platform, else iterations
-
-  [[nodiscard]] unsigned count(FuzzOutcome outcome) const {
-    auto it = outcomes.find(outcome);
-    return it == outcomes.end() ? 0 : it->second;
-  }
-  [[nodiscard]] std::string render() const;
-};
-
-/// Run the randomized campaign. Deterministic for a given config.
-[[nodiscard]] FuzzStats run_random_injection_campaign(const FuzzConfig& config);
 
 // ------------------------------------------------------- sequence fuzzer
 
@@ -219,6 +179,9 @@ struct SeqFuzzConfig {
   bool minimize = true;
   /// Generated trace length is 1..max_ops; mutation may extend to 2*max_ops.
   unsigned max_ops = 6;
+  /// Every generated op is the injector's write (ArbitraryWrite) instead of
+  /// a draw over all op kinds: the §IV-C blind campaign's op alphabet.
+  bool injector_only = false;
   /// Execution budget per survivor minimization.
   unsigned max_minimize_execs = 200;
   /// Corpus capacity (energy-weighted eviction beyond it).

@@ -1,7 +1,9 @@
 #include "core/journal.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,6 +21,15 @@ namespace {
 /// is unambiguous.
 constexpr std::string_view kCrcKey = ",\"crc\":\"";
 constexpr std::size_t kCrcHexDigits = 16;
+
+/// std::from_chars over all of `s`: false when it is empty, has anything
+/// but the number, or is out of range for T. Never throws.
+template <typename T>
+bool parse_whole(std::string_view s, T* out, int base = 10) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out, base);
+  return ec == std::errc{} && ptr == end;
+}
 
 std::string crc_hex(std::uint64_t h) {
   char buf[kCrcHexDigits + 1];
@@ -53,11 +64,15 @@ class FieldScanner {
           case '\\': c = '\\'; break;
           case 'u': {
             // json_escape only emits \u00XX for control bytes.
-            if (i + 5 < line_->size()) {
-              c = static_cast<char>(
-                  std::stoi(line_->substr(i + 2, 4), nullptr, 16));
-              i += 4;
+            unsigned code = 0;
+            if (i + 5 >= line_->size() ||
+                !parse_whole(std::string_view{*line_}.substr(i + 2, 4),
+                             &code, 16) ||
+                code > 0xFF) {
+              return std::nullopt;
             }
+            c = static_cast<char>(code);
+            i += 4;
             break;
           }
           default: c = esc;
@@ -79,9 +94,12 @@ class FieldScanner {
     const std::size_t begin = i;
     if (i < line_->size() && (*line_)[i] == '-') ++i;
     while (i < line_->size() && (*line_)[i] >= '0' && (*line_)[i] <= '9') ++i;
-    if (i == begin) return std::nullopt;
+    std::int64_t n = 0;
+    if (!parse_whole(std::string_view{*line_}.substr(begin, i - begin), &n)) {
+      return std::nullopt;  // empty, a lone '-', or out of range
+    }
     pos_ = i;
-    return std::stoll(line_->substr(begin, i - begin));
+    return n;
   }
 
  private:
@@ -97,17 +115,18 @@ class FieldScanner {
   std::size_t pos_ = 0;
 };
 
-std::optional<hv::XenVersion> parse_version(const std::string& s) {
+/// "major.minor", both plain digit runs; anything else is refused.
+std::optional<hv::XenVersion> parse_version(std::string_view s) {
   const std::size_t dot = s.find('.');
-  if (dot == std::string::npos || dot == 0 || dot + 1 >= s.size()) {
+  unsigned major = 0;
+  unsigned minor = 0;
+  constexpr unsigned kMax = std::numeric_limits<int>::max();
+  if (dot == std::string_view::npos || !parse_whole(s.substr(0, dot), &major) ||
+      !parse_whole(s.substr(dot + 1), &minor) || major > kMax ||
+      minor > kMax) {
     return std::nullopt;
   }
-  try {
-    return hv::XenVersion{std::stoi(s.substr(0, dot)),
-                          std::stoi(s.substr(dot + 1))};
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  return hv::XenVersion{static_cast<int>(major), static_cast<int>(minor)};
 }
 
 }  // namespace

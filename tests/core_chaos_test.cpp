@@ -115,6 +115,17 @@ TEST(ChaosPlan, ParserRejectsGarbageAndUnknownPoints) {
                std::invalid_argument);
   EXPECT_THROW((void)core::parse_chaos_plan("worker.crash=abc"),
                std::invalid_argument);
+  // Numbers are plain digit runs: no sign, no whitespace, no overflow
+  // (-1 used to wrap to occurrence 2^64-1, a point that never fires).
+  for (const char* bad :
+       {"journal.write_fail@-1", "worker.crash=+5", "worker.crash@ 3",
+        "worker.crash= 5", "worker.crash@+3", "worker.crash=-0",
+        "worker.crash@3 ", "worker.crash@", "worker.crash=",
+        "worker.crash@99999999999999999999",
+        "worker.crash=99999999999999999999"}) {
+    EXPECT_THROW((void)core::parse_chaos_plan(bad), std::invalid_argument)
+        << bad;
+  }
 
   const auto plan =
       core::parse_chaos_plan("journal.torn=5,worker.crash@3,worker.crash@1");
@@ -160,6 +171,41 @@ TEST(JournalChecksum, CorruptedBytesAreDetectedAndSkipped) {
   EXPECT_FALSE(core::parse_journal_entry(line).has_value());
   // Legacy lines without a crc field still load (old journals resume).
   EXPECT_TRUE(core::parse_journal_entry(core::journal_entry(cell)).has_value());
+
+  // Hostile numbers and versions are refused, not thrown: a resume counts
+  // such a line as skipped instead of aborting.
+  const std::string plain = core::journal_entry(cell);
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string edited = plain;
+    const std::size_t at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return edited.replace(at, from.size(), to);
+  };
+  const std::vector<std::string> hostile{
+      with("\"rc\":0", "\"rc\":99999999999999999999"),
+      with("\"rc\":0", "\"rc\":-"),
+      with("\"version\":\"4.8\"", "\"version\":\"4.6junk\""),
+      with("\"version\":\"4.8\"", "\"version\":\"4.+6\""),
+      with("\"version\":\"4.8\"", "\"version\":\"4.-6\""),
+      with("\"version\":\"4.8\"", "\"version\":\" 4.8\""),
+      with("\"use_case\":\"CASE-1", "\"use_case\":\"CASE\\uZZZZ-1"),
+  };
+  for (const std::string& line : hostile) {
+    EXPECT_NO_THROW({
+      EXPECT_FALSE(core::parse_journal_entry(line).has_value()) << line;
+    });
+  }
+  const std::string path = temp_path("hostile");
+  {
+    std::ofstream out{path};
+    out << "header-line\n" << core::journal_line(cell) << '\n';
+    for (const std::string& line : hostile) out << line << '\n';
+  }
+  core::JournalLoad load;
+  ASSERT_NO_THROW(load = core::load_journal(path, "header-line"));
+  EXPECT_EQ(load.cells.size(), 1u);
+  EXPECT_EQ(load.skipped, hostile.size());
+  std::remove(path.c_str());
 }
 
 TEST(JournalWriter, ChaosWriteFaultsAreCountedAndSkippedOnLoad) {
